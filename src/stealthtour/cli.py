@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -12,47 +13,43 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .evolution import InfeasibleScenarioError, evolve, sample_von_mises
-from .geometry import TWO_PI, Pose, build_tour, dubins_shortest, path_end
+from .evolution import (
+    InfeasibleScenarioError, check_tour, evolve, plan_from_tour, sample_von_mises, score,
+)
+from .geometry import TWO_PI, Pose, dubins_shortest, path_end
 from .pareto import Fitness, non_dominated_sort
 from .scenario import (
     Scenario,
     ScenarioError,
     SolverParams,
+    TargetLocation,
     generate_instance,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    total_reward,
     with_overrides,
 )
-from .sensing import SensorField, exposure
+from .sensing import SensorField
 from .plotting import render_solution_svg
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+def _stored_tour(data) -> tuple:
+    """The (ids, headings, radii) of a stored tour object."""
+    if not isinstance(data, dict):
+        raise ScenarioError("tour: need an object with ids, headings and radii")
+    try:
+        return data["ids"], data["headings"], data["radii"]
+    except KeyError as exc:
+        raise ScenarioError(f"tour: missing field {exc.args[0]!r}") from exc
 
 
-def evaluate_tour(scenario: Scenario, ids, headings, radii, exposure_step: float) -> Fitness:
-    """Re-evaluate a stored tour (location ids, headings, segment radii)."""
-    if len(ids) < 2:
-        raise ScenarioError("tour needs at least 2 locations")
-    if len(headings) != len(ids):
-        raise ScenarioError("need one heading per tour location")
-    if len(radii) != len(ids) - 1:
-        raise ScenarioError("need one radius per tour segment")
-    for h in headings:
-        if not (0.0 <= h < TWO_PI):
-            raise ScenarioError(f"heading {h} outside [0, 2*pi)")
-    poses = []
-    for lid, h in zip(ids, headings):
-        loc = scenario.locations[scenario.index_of(lid)]
-        poses.append(Pose(loc.x, loc.y, h))
-    tour = build_tour(poses, list(radii))
-    reward = total_reward(scenario, ids)
-    expo = exposure(scenario.field, tour, exposure_step)
-    return Fitness(reward, expo, tour.total_length)
+def _front_member(report, index: int):
+    front = report.get("front") if isinstance(report, dict) else None
+    if not isinstance(front, list):
+        raise ScenarioError("report: need an object with a front list")
+    if not 0 <= index < len(front):
+        raise ScenarioError(f"index {index} out of range (front size {len(front)})")
+    return front[index]
 
 
 def _load_scenario_from_args(args) -> Scenario:
@@ -98,17 +95,16 @@ def _params_from_args(args) -> SolverParams:
         single_objective=args.single_objective,
         alignment_mutation=args.align,
         exposure_step=args.exposure_step,
-        threads=args.threads,
     )
 
 
 def cmd_solve(args) -> int:
     try:
         sc = _load_scenario_from_args(args)
-    except (ScenarioError, OSError) as exc:
+        params = _params_from_args(args)
+    except (ValueError, OSError) as exc:  # ScenarioError, or a SolverParams range check
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    params = _params_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -123,18 +119,18 @@ def cmd_solve(args) -> int:
     lines = ["reward,exposure,length"]
     for sol in result.front:
         f = sol.fitness
-        lines.append(f"{_fmt(f.reward)},{_fmt(f.exposure)},{_fmt(f.length)}")
+        lines.append(f"{f.reward:.6g},{f.exposure:.6g},{f.length:.6g}")
     (out_dir / "front.csv").write_text("\n".join(lines) + "\n")
 
     report = {
         "scenario_name": sc.name,
         "scenario": scenario_to_dict(sc),
-        "params": params.to_dict(),
+        "params": dataclasses.asdict(params),
         "seed": params.seed,
         "duration_seconds": duration,
         "budget_violations": result.budget_violations,
         "evaluations": result.evaluations,
-        "generations": [s.to_dict() for s in result.stats],
+        "generations": [dataclasses.asdict(s) for s in result.stats],
         "front": [
             {
                 "reward": sol.fitness.reward,
@@ -170,40 +166,34 @@ def cmd_evaluate(args) -> int:
     try:
         sc = _load_scenario_from_args(args)
         if args.tour:
-            data = json.loads(Path(args.tour).read_text())
-            ids, headings, radii = data["ids"], data["headings"], data["radii"]
+            stored = json.loads(Path(args.tour).read_text())
         else:
-            report = json.loads(Path(args.report).read_text())
-            sol = report["front"][args.index]
-            ids, headings, radii = sol["ids"], sol["headings"], sol["radii"]
-        fit = evaluate_tour(sc, ids, headings, radii, args.exposure_step)
-    except (ScenarioError, OSError, KeyError, IndexError, json.JSONDecodeError) as exc:
+            stored = _front_member(json.loads(Path(args.report).read_text()), args.index)
+        plan = plan_from_tour(sc, *_stored_tour(stored))
+        # a plan that breaks the model is not scored: a radius far out of range
+        # can make its curves, and so the exposure quadrature, arbitrarily long
+        violations = check_tour(sc, plan)
+        if not violations:
+            fit = score(plan, sc, args.exposure_step)
+            violations = check_tour(sc, plan, fit.length)
+            print(f"reward {fit.reward!r}\nexposure {fit.exposure!r}\nlength {fit.length!r}")
+    except (ValueError, OSError, RecursionError) as exc:  # ValueError: ScenarioError, bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    feasible = fit.length <= sc.t_max + 1e-9
-    print(f"reward {fit.reward!r}")
-    print(f"exposure {fit.exposure!r}")
-    print(f"length {fit.length!r}")
-    print("verdict " + ("FEASIBLE" if feasible else "INFEASIBLE"))
-    return 0 if feasible else 1
+    for v in violations:
+        print(f"violation {v}")
+    print("verdict " + ("INFEASIBLE" if violations else "FEASIBLE"))
+    return 1 if violations else 0
 
 
 def cmd_plot(args) -> int:
     try:
         report = json.loads(Path(args.report).read_text())
+        sol = _front_member(report, args.index)
         sc = scenario_from_dict(report["scenario"])
-        front = report["front"]
-        if not 0 <= args.index < len(front):
-            print(f"error: index {args.index} out of range (front size {len(front)})",
-                  file=sys.stderr)
-            return 1
-        sol = front[args.index]
-        poses = []
-        for lid, h in zip(sol["ids"], sol["headings"]):
-            loc = sc.locations[sc.index_of(lid)]
-            poses.append(Pose(loc.x, loc.y, h))
+        plan = plan_from_tour(sc, *_stored_tour(sol))
         fit = Fitness(sol["reward"], sol["exposure"], sol["length"])
-        svg = render_solution_svg(sc, poses, list(sol["radii"]), fit)
+        svg = render_solution_svg(sc, list(plan.poses), list(plan.radii), fit)
         Path(args.out).write_text(svg)
     except (ScenarioError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -241,8 +231,9 @@ def _check_dubins_endpoint(n, seed):
 
 def _check_exposure_arctan(n, seed):
     field = SensorField(nodes=((0.0, 5.0),), alpha=50.0, mu=2.0, cap=30.0)
-    path = build_tour([Pose(-10, 0, 0), Pose(10, 0, 0)], [1.0])
-    got = exposure(field, path, 0.01)
+    ends = (TargetLocation(0, -10.0, 0.0, 0.0), TargetLocation(1, 10.0, 0.0, 0.0))
+    sc = Scenario("straight", ends, field, t_max=30.0, rho_min=1.0, rho_max=1.0)
+    got = score(plan_from_tour(sc, [0, 1], [0.0, 0.0], [1.0]), sc, 0.01).exposure
     exact = oracles.straight_exposure_closed_form(50.0, 5.0, -10.0, 10.0)
     rel = abs(got - exact) / exact
     return rel <= 1e-4, f"quadrature error {rel:.3e} relative (E={got:.5f})"
@@ -321,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--align", action="store_true",
                          help="align interior headings after mutation")
     p_solve.add_argument("--exposure-step", type=float, default=0.05)
-    p_solve.add_argument("--threads", type=int, default=1)
     p_solve.add_argument("--out-dir", default=".")
     p_solve.add_argument("--plot", default=None,
                          help="comma-separated front indices to render, or 'all'")

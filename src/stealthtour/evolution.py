@@ -12,14 +12,13 @@ tracks the best (reward, exposure) front seen so far.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Pose, build_tour, CompositePath
 from .pareto import Fitness, crowding_distance, dominates, hypervolume_2d, non_dominated_sort
-from .scenario import Scenario, SolverParams, total_reward
+from .scenario import Scenario, ScenarioError, SolverParams, total_reward
 from .sensing import exposure
 
 TWO_PI = 2.0 * math.pi
@@ -83,11 +82,67 @@ def decoded_tour(chromosome: Chromosome, scenario: Scenario) -> CompositePath:
 
 
 def evaluate(chromosome: Chromosome, scenario: Scenario, exposure_step: float) -> Fitness:
-    plan = decode(chromosome, scenario)
+    return score(decode(chromosome, scenario), scenario, exposure_step)
+
+
+def score(plan: TourPlan, scenario: Scenario, exposure_step: float) -> Fitness:
+    """Reward of the visited ids, then exposure and length of the chained curves."""
     tour = build_tour(list(plan.poses), list(plan.radii))
     reward = total_reward(scenario, plan.ids)
     expo = exposure(scenario.field, tour, exposure_step)
     return Fitness(reward, expo, tour.total_length)
+
+
+def _numbers(name: str, values, kind=float) -> tuple:
+    """``values`` converted by ``kind``: a list of ints, or of ints and floats."""
+    allowed = int if kind is int else (int, float)
+    if not isinstance(values, (list, tuple)) or any(
+        isinstance(v, bool) or not isinstance(v, allowed) for v in values
+    ):
+        raise ScenarioError(f"{name}: need a list of {kind.__name__}s")
+    try:
+        return tuple(map(kind, values))
+    except OverflowError as exc:
+        raise ScenarioError(f"{name}: {exc}") from exc
+
+
+def plan_from_tour(scenario: Scenario, ids, headings, radii) -> TourPlan:
+    """A stored tour (location ids, headings, segment radii) as a plan to score."""
+    ids = _numbers("ids", ids, int)
+    headings, radii = _numbers("headings", headings), _numbers("radii", radii)
+    if len(ids) < 2:
+        raise ScenarioError("tour needs at least 2 locations")
+    if len(headings) != len(ids):
+        raise ScenarioError("need one heading per tour location")
+    if len(radii) != len(ids) - 1:
+        raise ScenarioError("need one radius per tour segment")
+    if not all(0.0 <= h < TWO_PI for h in headings):
+        raise ScenarioError(f"headings {list(headings)}: each must lie in [0, 2*pi)")
+    if not all(math.isfinite(r) and r > 0.0 for r in radii):
+        raise ScenarioError(f"radii {list(radii)}: each must be finite and positive")
+    order = tuple(scenario.index_of(lid) for lid in ids)
+    poses = tuple(
+        Pose(scenario.locations[i].x, scenario.locations[i].y, h) for i, h in zip(order, headings)
+    )
+    return TourPlan(order, ids, poses, radii)
+
+
+def check_tour(scenario: Scenario, plan: TourPlan, length: float | None = None) -> list[str]:
+    """Named breaches of the tour model, the budget only if ``length`` is given."""
+    out = []
+    if plan.ids[0] != scenario.start.id:
+        out.append(f"start: tour begins at location {plan.ids[0]}, not {scenario.start.id}")
+    if plan.ids[-1] != scenario.goal.id:
+        out.append(f"goal: tour ends at location {plan.ids[-1]}, not {scenario.goal.id}")
+    repeated = sorted({lid for lid in plan.ids if plan.ids.count(lid) > 1})
+    if repeated:
+        out.append(f"repeat: locations {repeated} visited more than once")
+    for r in plan.radii:
+        if not (scenario.rho_min <= r <= scenario.rho_max):
+            out.append(f"radius: {r!r} outside [{scenario.rho_min}, {scenario.rho_max}]")
+    if length is not None and length > scenario.t_max + 1e-9:
+        out.append(f"budget: length {length!r} exceeds t_max {scenario.t_max}")
+    return out
 
 
 def sample_von_mises(mean: float, kappa: float, rng: np.random.Generator) -> float:
@@ -231,15 +286,6 @@ class GenStats:
     best_reward: float
     min_exposure: float
 
-    def to_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "front_size": self.front_size,
-            "hypervolume": self.hypervolume,
-            "best_reward": self.best_reward,
-            "min_exposure": self.min_exposure,
-        }
-
 
 @dataclass
 class EvolveResult:
@@ -247,13 +293,6 @@ class EvolveResult:
     stats: list[GenStats]
     budget_violations: int = 0
     evaluations: int = 0
-
-
-def _evaluate_all(population, scenario, params) -> list[Fitness]:
-    if params.threads > 1:
-        with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            return list(pool.map(lambda ch: evaluate(ch, scenario, params.exposure_step), population))
-    return [evaluate(ch, scenario, params.exposure_step) for ch in population]
 
 
 def _update_archive(archive: list[Solution], population, fits, scenario) -> list[Solution]:
@@ -393,19 +432,10 @@ def evolve(
         rng = np.random.default_rng(params.seed)
 
     ref_point = (-1.0, scenario.field.cap * scenario.t_max + 1.0)
-    budget_violations = 0
-    evaluations = 0
-
-    def check_budget(fits):
-        nonlocal budget_violations
-        for f in fits:
-            if f.length > scenario.t_max + 1e-9:
-                budget_violations += 1
-
     pop = initialize_population(scenario, params, rng)
-    fits = _evaluate_all(pop, scenario, params)
-    evaluations += len(pop)
-    check_budget(fits)
+    fits = [evaluate(ch, scenario, params.exposure_step) for ch in pop]
+    evaluations = len(pop)
+    budget_violations = sum(f.length > scenario.t_max + 1e-9 for f in fits)
 
     single = params.single_objective
     if single:
@@ -421,7 +451,9 @@ def evolve(
 
     def stats_for(gen):
         front_fits = [s.fitness for s in archive]
-        hv = hypervolume_2d(front_fits, ref_point)
+        # with several sensors a tour can be more exposed than cap * t_max; such
+        # points lie outside the reference box and add no area
+        hv = hypervolume_2d([f for f in front_fits if f.exposure <= ref_point[1]], ref_point)
         return GenStats(
             generation=gen,
             front_size=len(archive),
@@ -454,9 +486,9 @@ def evolve(
                     child = repair_budget(align_headings(child, scenario), scenario, rng)
                 offspring.append(child)
         offspring = offspring[: params.population_size]
-        off_fits = _evaluate_all(offspring, scenario, params)
+        off_fits = [evaluate(ch, scenario, params.exposure_step) for ch in offspring]
         evaluations += len(offspring)
-        check_budget(off_fits)
+        budget_violations += sum(f.length > scenario.t_max + 1e-9 for f in off_fits)
 
         merged = pop + offspring
         merged_fits = fits + off_fits

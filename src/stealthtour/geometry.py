@@ -18,11 +18,6 @@ TWO_PI = 2.0 * math.pi
 FAMILIES = ("LSL", "RSR", "LSR", "RSL", "RLR", "LRL")
 
 
-def norm_angle(theta: float) -> float:
-    """Normalize an angle into [0, 2*pi)."""
-    return theta % TWO_PI
-
-
 @dataclass(frozen=True)
 class Pose:
     """Planar position plus heading; heading is normalized on construction."""
@@ -119,14 +114,7 @@ def _lrl(a, b, d):
     return t, p, (b - a - t + p) % TWO_PI
 
 
-_SOLVERS = {
-    "LSL": _lsl,
-    "RSR": _rsr,
-    "LSR": _lsr,
-    "RSL": _rsl,
-    "RLR": _rlr,
-    "LRL": _lrl,
-}
+_SOLVERS = dict(zip(FAMILIES, (_lsl, _rsr, _lsr, _rsl, _rlr, _lrl)))
 
 
 def dubins_shortest(start: Pose, end: Pose, radius: float) -> DubinsPath:

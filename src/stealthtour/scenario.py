@@ -44,6 +44,9 @@ class Scenario:
     def __post_init__(self):
         if len(self.locations) < 2:
             raise ScenarioError("locations: need at least start and goal")
+        for name in ("t_max", "rho_min", "rho_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{name}: must be finite")
         if self.t_max <= 0.0:
             raise ScenarioError("t_max: must be positive")
         if not (0.0 < self.rho_min <= self.rho_max):
@@ -57,6 +60,8 @@ class Scenario:
         if len(set(ids)) != len(ids):
             raise ScenarioError("locations: duplicate ids")
         for loc in self.locations:
+            if not all(map(math.isfinite, (loc.x, loc.y, loc.reward))):
+                raise ScenarioError(f"locations[{loc.id}]: x, y and reward must be finite")
             if loc.reward < 0.0:
                 raise ScenarioError(f"locations[{loc.id}].reward: must be non-negative")
         if self.fixed_headings:
@@ -165,11 +170,11 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(content: bytes | str) -> Scenario:
-    if isinstance(content, bytes):
-        content = content.decode("utf-8")
     try:
+        if isinstance(content, bytes):
+            content = content.decode("utf-8")
         data = json.loads(content)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("top level must be an object")
@@ -266,7 +271,6 @@ class SolverParams:
     single_objective: bool = False
     alignment_mutation: bool = False
     exposure_step: float = 0.05
-    threads: int = 1
 
     def __post_init__(self):
         if self.population_size <= 0 or self.generations < 0:
@@ -275,27 +279,9 @@ class SolverParams:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.von_mises_kappa <= 0.0:
-            raise ValueError("von_mises_kappa must be positive")
+        if not 0.0 < self.von_mises_kappa < math.inf:  # NaN would never leave the sampler
+            raise ValueError("von_mises_kappa must be finite and positive")
         if self.selection not in ("reference-point", "crowding-distance"):
             raise ValueError("selection must be reference-point or crowding-distance")
-        if self.exposure_step <= 0.0:
-            raise ValueError("exposure_step must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "population_size": self.population_size,
-            "generations": self.generations,
-            "crossover_prob": self.crossover_prob,
-            "mutation_prob_individual": self.mutation_prob_individual,
-            "mutation_prob_gene": self.mutation_prob_gene,
-            "von_mises_kappa": self.von_mises_kappa,
-            "selection": self.selection,
-            "seed": self.seed,
-            "single_objective": self.single_objective,
-            "alignment_mutation": self.alignment_mutation,
-            "exposure_step": self.exposure_step,
-            "threads": self.threads,
-        }
+        if not 0.0 < self.exposure_step < math.inf:
+            raise ValueError("exposure_step must be finite and positive")

@@ -24,8 +24,8 @@ class SensorField:
     cap: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.mu <= 0.0 or self.cap <= 0.0:
-            raise ValueError("alpha, mu and cap must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.alpha, self.mu, self.cap)):
+            raise ValueError("alpha, mu and cap must be finite and positive")
         for n in self.nodes:
             if not (math.isfinite(n[0]) and math.isfinite(n[1])):
                 raise ValueError("sensor positions must be finite")

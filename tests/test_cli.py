@@ -2,9 +2,12 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from stealthtour.cli import evaluate_tour, main
-from stealthtour.scenario import ScenarioError, save_scenario
+from stealthtour.cli import main
+from stealthtour.evolution import plan_from_tour
+from stealthtour.scenario import ScenarioError, generate_instance, save_scenario, scenario_to_dict
 
 SMALL_RUN = [
     "--instance", "cross", "--instance-seed", "1",
@@ -30,12 +33,6 @@ def test_solve_outputs_and_reproducibility(tmp_path):
     assert da == db
 
 
-def test_solve_threads_do_not_change_front(tmp_path):
-    csv_a, _ = run_solve(tmp_path / "a")
-    csv_b, _ = run_solve(tmp_path / "b", extra=["--threads", "2"])
-    assert csv_a == csv_b
-
-
 def test_solve_zero_generations(tmp_path):
     rc = main(["solve", *SMALL_RUN[:6], "--population", "8", "--generations", "0",
                "--out-dir", str(tmp_path)])
@@ -49,6 +46,15 @@ def test_solve_infeasible_budget_exits_one(tmp_path, capsys):
     rc = main(["solve", *SMALL_RUN, "--t-max", "0.5", "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--population", "0"), ("--exposure-step", "-1"), ("--exposure-step", "nan"), ("--kappa", "nan"),
+])
+def test_solve_bad_parameter_exits_one(tmp_path, capsys, flag, value):
+    rc = main(["solve", *SMALL_RUN, flag, value, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_evaluate_round_trips_report(tmp_path, capsys):
@@ -101,11 +107,110 @@ def test_evaluate_unknown_id_errors(tmp_path, cross, capsys):
 def test_evaluate_tour_validation(cross):
     start, goal = cross.locations[0], cross.locations[-1]
     with pytest.raises(ScenarioError, match="heading"):
-        evaluate_tour(cross, [start.id, goal.id], [0.0, 7.0], [1.0], 0.05)
+        plan_from_tour(cross, [start.id, goal.id], [0.0, 7.0], [1.0])
     with pytest.raises(ScenarioError, match="radius"):
-        evaluate_tour(cross, [start.id, goal.id], [0.0, 0.0], [1.0, 1.0], 0.05)
+        plan_from_tour(cross, [start.id, goal.id], [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ScenarioError):
-        evaluate_tour(cross, [start.id], [0.0], [], 0.05)
+        plan_from_tour(cross, [start.id], [0.0], [])
+
+
+CROSS_1 = generate_instance("cross", 1)
+START, TARGET, GOAL = (CROSS_1.locations[i].id for i in (0, 1, -1))
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda d: d.update(t_max=math.nan),
+    lambda d: d["locations"][3].update(x=math.nan),
+    lambda d: d["locations"][3].update(reward=math.inf),
+], ids=["nan-t_max", "nan-x", "inf-reward"])
+def test_solve_non_finite_scenario_file_exits_one(tmp_path, capsys, spoil):
+    data = scenario_to_dict(CROSS_1)
+    spoil(data)
+    sc_file = tmp_path / "sc.json"
+    sc_file.write_text(json.dumps(data))  # json writes NaN and Infinity as bare words
+    rc = main(["solve", "--scenario", str(sc_file), "--population", "4", "--generations", "0",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def evaluate_tour_file(tmp_path, content, *extra):
+    tour_file = tmp_path / "tour.json"
+    tour_file.write_text(content)
+    return main(["evaluate", "--instance", "cross", "--instance-seed", "1",
+                 "--tour", str(tour_file), *extra])
+
+
+@pytest.mark.parametrize("tour, violation", [
+    ({"ids": [START, TARGET, TARGET, TARGET, GOAL], "headings": [0.0] * 5,
+      "radii": [1.0] * 4}, f"violation repeat: locations [{TARGET}] visited more than once"),
+    ({"ids": [START, GOAL], "headings": [0.0, 0.0], "radii": [0.01]},
+     "violation radius: 0.01 outside [1.0, 2.0]"),
+    ({"ids": [TARGET, GOAL], "headings": [0.0, 0.0], "radii": [1.0]},
+     f"violation start: tour begins at location {TARGET}, not {START}"),
+], ids=["repeated-target", "radius-below-rho-min", "not-from-start"])
+def test_evaluate_names_model_violations(tmp_path, capsys, tour, violation):
+    assert evaluate_tour_file(tmp_path, json.dumps(tour)) == 1
+    out = capsys.readouterr().out
+    assert violation in out.splitlines()
+    assert out.endswith("verdict INFEASIBLE\n")
+
+
+@pytest.mark.parametrize("content", [
+    json.dumps([START, GOAL]),
+    json.dumps({"ids": None, "headings": [0.0, 0.0], "radii": [1.0]}),
+    json.dumps({"ids": [START, GOAL], "headings": ["north", 0.0], "radii": [1.0]}),
+    json.dumps({"ids": [START, GOAL], "headings": [0.0, 0.0], "radii": [math.nan]}),
+    json.dumps({"ids": [START, GOAL], "headings": [0.0, 0.0], "radii": [math.inf]}),
+    json.dumps({"ids": [START, GOAL], "headings": [0.0, 0.0], "radii": [-1.0]}),
+    "[" * 100_000 + "]" * 100_000,
+], ids=["top-level-list", "null-ids", "string-heading", "nan-radius", "inf-radius",
+        "negative-radius", "deeply-nested"])
+def test_evaluate_bad_tour_file_errors(tmp_path, capsys, content):
+    assert evaluate_tour_file(tmp_path, content) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("index", ["999", "-1"])
+def test_evaluate_index_out_of_range(tmp_path, capsys, index):
+    run_solve(tmp_path)
+    rc = main(["evaluate", "--instance", "cross", "--instance-seed", "1",
+               "--report", str(tmp_path / "report.json"), "--index", index])
+    assert rc == 1
+    assert "out of range" in capsys.readouterr().err
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+LOCATION_IDS = st.sampled_from([loc.id for loc in CROSS_1.locations])
+
+
+@st.composite
+def tours(draw):
+    """Well-formed tours from start to goal, often with one field or element spoiled."""
+    n = draw(st.integers(2, 6))
+    interior = draw(st.lists(LOCATION_IDS, min_size=n - 2, max_size=n - 2, unique=True))
+    tour = {
+        "ids": [START, *interior, GOAL],
+        "headings": draw(st.lists(st.floats(0.0, 6.28), min_size=n, max_size=n)),
+        "radii": draw(st.lists(st.floats(1.0, 2.0), min_size=n - 1, max_size=n - 1)),
+    }
+    spoil = draw(st.sampled_from([None, "ids", "headings", "radii"]))
+    if spoil and draw(st.booleans()):
+        tour[spoil] = draw(JSON)
+    elif spoil:
+        tour[spoil][draw(st.integers(0, len(tour[spoil]) - 1))] = draw(LOCATION_IDS | JSON)
+    return tour
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=JSON | tours())
+def test_evaluate_any_json_tour_never_raises(tmp_path, document):
+    assert evaluate_tour_file(tmp_path, json.dumps(document), "--exposure-step", "0.5") in (0, 1)
 
 
 def test_plot_command_deterministic(tmp_path):

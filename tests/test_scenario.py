@@ -1,7 +1,11 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stealthtour.evolution import InfeasibleScenarioError, check_tour, evolve
 from stealthtour.scenario import (
     Scenario,
     ScenarioError,
@@ -60,6 +64,10 @@ def test_rho_interval_violation_names_both_fields():
 def test_malformed_json_and_missing_keys():
     with pytest.raises(ScenarioError, match="JSON"):
         load_scenario(b"{not json")
+    with pytest.raises(ScenarioError, match="JSON"):
+        load_scenario(b"\xff{}")
+    with pytest.raises(ScenarioError, match="JSON"):
+        load_scenario("[" * 100_000 + "]" * 100_000)
     incomplete = {k: v for k, v in MINIMAL.items() if k != "t_max"}
     with pytest.raises(ScenarioError, match="t_max"):
         load_scenario(json.dumps(incomplete))
@@ -149,3 +157,77 @@ def test_solver_params_validation():
     assert defaults.population_size == 400
     assert defaults.generations == 400
     assert defaults.von_mises_kappa == 2.0
+
+
+@pytest.mark.parametrize("change", [
+    {"t_max": math.nan},
+    {"rho_max": math.inf},
+    {"locations": [{"id": 0, "x": math.nan, "y": 0.0, "reward": 0.0},
+                   {"id": 1, "x": 10.0, "y": 0.0, "reward": 0.0}]},
+    {"locations": [{"id": 0, "x": 0.0, "y": 0.0, "reward": 0.0},
+                   {"id": 2, "x": 5.0, "y": 0.0, "reward": math.inf},
+                   {"id": 1, "x": 10.0, "y": 0.0, "reward": 0.0}]},
+    {"sensing": {"alpha": math.nan, "mu": 2.0, "cap": 30.0}},
+    {"sensing": {"alpha": 50.0, "mu": 2.0, "cap": math.inf}},
+], ids=["nan-t_max", "inf-rho_max", "nan-x", "inf-reward", "nan-alpha", "inf-cap"])
+def test_non_finite_numbers_rejected(change):
+    with pytest.raises(ScenarioError, match="finite"):
+        load_scenario(json.dumps(dict(MINIMAL, **change)))
+
+
+# Finite values stay within +-1e3: at 1e300 a coordinate overflows the Dubins
+# solver and a radius the exposure quadrature, which finiteness alone does not fix.
+ANY_NUMBER = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Scenario objects in which one number may be zero, negative, NaN or infinite."""
+    count = draw(st.integers(2, 6))
+    coord = st.floats(0.0, 30.0)
+    rewards = [0.0] + [draw(st.floats(0.0, 1.0)) for _ in range(count - 2)] + [0.0]
+    locations = [{"id": i, "x": draw(coord), "y": draw(coord), "reward": r}
+                 for i, r in enumerate(rewards)]
+    closed = draw(st.booleans())
+    if closed:
+        locations[-1].update(x=locations[0]["x"], y=locations[0]["y"])
+    data = {
+        "name": "random",
+        "t_max": draw(st.floats(1.0, 150.0)),
+        "rho_min": draw(st.floats(0.2, 1.0)),
+        "rho_max": draw(st.floats(1.0, 3.0)),
+        "closed": closed,
+        "sensing": {"alpha": draw(st.floats(1.0, 60.0)), "mu": draw(st.floats(0.5, 3.0)),
+                    "cap": draw(st.floats(1.0, 40.0))},
+        "sensors": draw(st.lists(st.lists(coord, min_size=2, max_size=2), max_size=3)),
+        "locations": locations,
+        "start_id": 0,
+        "goal_id": count - 1,
+    }
+    numbers = [(data, k) for k in ("t_max", "rho_min", "rho_max")]
+    numbers += [(data["sensing"], k) for k in ("alpha", "mu", "cap")]
+    numbers += [(loc, k) for loc in locations for k in ("x", "y", "reward")]
+    numbers += [(xy, k) for xy in data["sensors"] for k in (0, 1)]
+    spoil = draw(st.sampled_from([None, *range(len(numbers))]))
+    if spoil is not None:
+        owner, key = numbers[spoil]
+        owner[key] = draw(ANY_NUMBER)
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=scenario_dicts())
+def test_random_scenario_loads_and_solves_or_names_its_fault(data):
+    try:
+        sc = load_scenario(json.dumps(data))
+    except ScenarioError:
+        return
+    params = SolverParams(population_size=8, generations=2, seed=0, exposure_step=0.5)
+    try:
+        result = evolve(sc, params)
+    except InfeasibleScenarioError:
+        # only a straight start-goal leg longer than the budget is hopeless
+        assert math.dist((sc.start.x, sc.start.y), (sc.goal.x, sc.goal.y)) > sc.t_max - 1e-9
+        return
+    for sol in result.front:
+        assert check_tour(sc, sol.plan, sol.fitness.length) == []
