@@ -52,6 +52,19 @@ def _front_member(report, index: int):
     return front[index]
 
 
+def _plot_indices(spec: str | None) -> list[int] | None:
+    """Front indices named by ``solve --plot``; None means every member."""
+    if spec == "all":
+        return None
+    try:
+        indices = [int(tok) for tok in spec.split(",")] if spec else []
+    except ValueError:
+        raise ValueError(f"--plot {spec!r}: need comma-separated front indices or 'all'") from None
+    if any(i < 0 for i in indices):
+        raise ValueError(f"--plot {spec!r}: front indices cannot be negative")
+    return indices
+
+
 def _load_scenario_from_args(args) -> Scenario:
     if args.scenario:
         sc = load_scenario(Path(args.scenario).read_bytes())
@@ -102,6 +115,7 @@ def cmd_solve(args) -> int:
     try:
         sc = _load_scenario_from_args(args)
         params = _params_from_args(args)
+        plots = _plot_indices(args.plot)
     except (ValueError, OSError) as exc:  # ScenarioError, or a SolverParams range check
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -145,16 +159,16 @@ def cmd_solve(args) -> int:
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
 
-    if args.plot:
-        indices = (
-            range(len(result.front))
-            if args.plot == "all"
-            else [int(tok) for tok in args.plot.split(",")]
-        )
-        for i in indices:
-            sol = result.front[i]
-            svg = render_solution_svg(sc, list(sol.plan.poses), list(sol.plan.radii), sol.fitness)
-            (out_dir / f"plot_{i}.svg").write_text(svg)
+    plots = range(len(result.front)) if plots is None else plots
+    outside = [i for i in plots if i >= len(result.front)]
+    if outside:
+        print(f"error: --plot: index {outside[0]} out of range (front size {len(result.front)})",
+              file=sys.stderr)
+        return 1
+    for i in plots:
+        sol = result.front[i]
+        svg = render_solution_svg(sc, list(sol.plan.poses), list(sol.plan.radii), sol.fitness)
+        (out_dir / f"plot_{i}.svg").write_text(svg)
     print(
         f"solved {sc.name}: front size {len(result.front)}, "
         f"{result.evaluations} evaluations in {duration:.2f}s"

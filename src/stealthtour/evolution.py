@@ -6,7 +6,8 @@ interior genes plus per-gene mutation (fresh key, von Mises heading kick,
 fresh radius); feasibility is restored by randomly dropping visits until
 the tour fits the travel budget.  Selection is NSGA-style, with either
 reference-point niching or crowding distance, and an elitist archive
-tracks the best (reward, exposure) front seen so far.
+tracks the best (reward, exposure) front seen so far.  Scoring and repair
+read each Dubins curve's length and exposure from a per-run ``EdgeTable``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .geometry import Pose, build_tour, CompositePath
 from .pareto import Fitness, crowding_distance, dominates, hypervolume_2d, non_dominated_sort
-from .scenario import Scenario, ScenarioError, SolverParams, total_reward
+from .scenario import Scenario, ScenarioError, SolverParams
 from .sensing import exposure
 
 TWO_PI = 2.0 * math.pi
@@ -57,8 +59,8 @@ class TourPlan:
     radii: tuple[float, ...]
 
 
-def decode(chromosome: Chromosome, scenario: Scenario) -> TourPlan:
-    """Active genes sorted by key; poses get gene headings, segments gene radii."""
+def _visits(chromosome: Chromosome, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Visit order (active genes by key) and headings after the fixed and closed overrides."""
     active = np.flatnonzero(chromosome.keys >= 0.0)
     order = active[np.argsort(chromosome.keys[active], kind="stable")]
     thetas = chromosome.thetas.copy()
@@ -67,6 +69,12 @@ def decode(chromosome: Chromosome, scenario: Scenario) -> TourPlan:
             thetas[scenario.index_of(lid)] = th % TWO_PI
     if scenario.closed:
         thetas[-1] = thetas[0]
+    return order, thetas
+
+
+def decode(chromosome: Chromosome, scenario: Scenario) -> TourPlan:
+    """Active genes sorted by key; poses get gene headings, segments gene radii."""
+    order, thetas = _visits(chromosome, scenario)
     poses = tuple(
         Pose(scenario.locations[i].x, scenario.locations[i].y, float(thetas[i]))
         for i in order
@@ -81,16 +89,93 @@ def decoded_tour(chromosome: Chromosome, scenario: Scenario) -> CompositePath:
     return build_tour(list(plan.poses), list(plan.radii))
 
 
-def evaluate(chromosome: Chromosome, scenario: Scenario, exposure_step: float) -> Fitness:
-    return score(decode(chromosome, scenario), scenario, exposure_step)
+class EdgeTable:
+    """Length and exposure of each distinct Dubins edge met while solving one scenario.
+
+    An edge is keyed by (from index, from heading, to index, to heading,
+    radius), headings taken after decode's overrides.  Its curve is a pure
+    function of that key, so an entry holds exactly what ``build_tour`` and
+    ``exposure`` would compute again, and sums of entries in tour order are
+    bit-identical to theirs.  Entries are (length, exposure) floats; exposure
+    stays None until scoring first needs it, as repair needs lengths only.
+    """
+
+    def __init__(self, scenario: Scenario, exposure_step: float | None = None):
+        self.scenario = scenario
+        self.exposure_step = exposure_step
+        self.rewards = tuple(loc.reward for loc in scenario.locations)
+        self.edges: dict[tuple, tuple[float, float | None]] = {}
+
+    def serves(self, scenario: Scenario, exposure_step: float | None = None) -> bool:
+        return (self.scenario is scenario or self.scenario == scenario) and (
+            exposure_step is None or exposure_step == self.exposure_step
+        )
+
+    def tour_length(self, chromosome: Chromosome) -> float:
+        """Length of the decoded tour, summed in tour order as ``build_tour`` sums it."""
+        order, thetas = _visits(chromosome, self.scenario)
+        order, thetas, rhos = order.tolist(), thetas.tolist(), chromosome.rhos.tolist()
+        _check_chain(len(order), len(order) - 1)
+        edges, locations = self.edges, self.scenario.locations
+        total = 0.0
+        for a, b in zip(order, order[1:]):
+            # a heading not yet reduced to [0, 2*pi) still names one curve, as Pose reduces it
+            key = (a, thetas[a], b, thetas[b], rhos[a])
+            entry = edges.get(key)
+            if entry is None:
+                start, end = locations[a], locations[b]
+                curve = geometry.dubins_shortest(
+                    Pose(start.x, start.y, thetas[a]), Pose(end.x, end.y, thetas[b]), rhos[a]
+                )
+                entry = edges[key] = (curve.length, None)
+            total += entry[0]
+        return total
 
 
-def score(plan: TourPlan, scenario: Scenario, exposure_step: float) -> Fitness:
-    """Reward of the visited ids, then exposure and length of the chained curves."""
-    tour = build_tour(list(plan.poses), list(plan.radii))
-    reward = total_reward(scenario, plan.ids)
-    expo = exposure(scenario.field, tour, exposure_step)
-    return Fitness(reward, expo, tour.total_length)
+def _check_chain(poses: int, radii: int) -> None:
+    if poses < 2:
+        raise ValueError("a tour needs at least 2 poses")
+    if radii != poses - 1:
+        raise ValueError("need exactly one radius per segment")
+
+
+def evaluate(
+    chromosome: Chromosome, scenario: Scenario, exposure_step: float, table: EdgeTable | None = None
+) -> Fitness:
+    return score(decode(chromosome, scenario), scenario, exposure_step, table)
+
+
+def score(
+    plan: TourPlan, scenario: Scenario, exposure_step: float, table: EdgeTable | None = None
+) -> Fitness:
+    """Reward of the visited locations, then exposure and length of the chained curves.
+
+    Each curve's length and exposure come from ``table`` (a fresh one when
+    None).  Rewards and lengths are added from 0.0 in tour order, and the
+    exposures summed with ``sum``, as ``build_tour`` and ``exposure`` do.
+    """
+    if table is None:
+        table = EdgeTable(scenario, exposure_step)
+    elif not table.serves(scenario, exposure_step):
+        raise ValueError("edge table belongs to another scenario or exposure step")
+    order, poses = plan.order, plan.poses
+    _check_chain(len(poses), len(plan.radii))
+    edges = table.edges
+    length = 0.0
+    exposures = []
+    for k, radius in enumerate(plan.radii):
+        start, end = poses[k], poses[k + 1]
+        key = (order[k], start.theta, order[k + 1], end.theta, radius)
+        entry = edges.get(key)
+        if entry is None or entry[1] is None:
+            curve = geometry.dubins_shortest(start, end, radius)
+            entry = edges[key] = (curve.length, exposure(scenario.field, curve, exposure_step))
+        length += entry[0]
+        exposures.append(entry[1])
+    reward = 0.0
+    for i in order:
+        reward += table.rewards[i]
+    return Fitness(reward, sum(exposures), length)
 
 
 def _numbers(name: str, values, kind=float) -> tuple:
@@ -171,10 +256,19 @@ def _interior_active(chromosome: Chromosome) -> np.ndarray:
     return np.flatnonzero(chromosome.keys[1:-1] >= 0.0) + 1
 
 
-def repair_budget(chromosome: Chromosome, scenario: Scenario, rng: np.random.Generator) -> Chromosome:
+def repair_budget(
+    chromosome: Chromosome,
+    scenario: Scenario,
+    rng: np.random.Generator,
+    table: EdgeTable | None = None,
+) -> Chromosome:
     """Drop random interior visits until the decoded tour fits t_max."""
+    if table is None:
+        table = EdgeTable(scenario)
+    elif not table.serves(scenario):
+        raise ValueError("edge table belongs to another scenario")
     out = chromosome.copy()
-    length = decoded_tour(out, scenario).total_length
+    length = table.tour_length(out)
     while length > scenario.t_max:
         candidates = _interior_active(out)
         if candidates.size == 0:
@@ -187,7 +281,7 @@ def repair_budget(chromosome: Chromosome, scenario: Scenario, rng: np.random.Gen
             if not scenario.closed:
                 out.thetas[0] = bearing % TWO_PI
                 out.thetas[-1] = bearing % TWO_PI
-            length = decoded_tour(out, scenario).total_length
+            length = table.tour_length(out)
             if length > scenario.t_max:
                 raise InfeasibleScenarioError(
                     f"direct start-goal leg ({length:.3f} m) exceeds t_max={scenario.t_max}"
@@ -195,12 +289,15 @@ def repair_budget(chromosome: Chromosome, scenario: Scenario, rng: np.random.Gen
             break
         drop = candidates[int(rng.integers(candidates.size))]
         out.keys[drop] = -1.0
-        length = decoded_tour(out, scenario).total_length
+        length = table.tour_length(out)
     return out
 
 
 def initialize_population(
-    scenario: Scenario, params: SolverParams, rng: np.random.Generator
+    scenario: Scenario,
+    params: SolverParams,
+    rng: np.random.Generator,
+    table: EdgeTable | None = None,
 ) -> list[Chromosome]:
     """Random chromosomes (each interior gene active w.p. 0.5), repaired."""
     m = len(scenario.locations)
@@ -211,7 +308,7 @@ def initialize_population(
         keys[0], keys[-1] = 0.0, 1.0
         thetas = rng.random(m) * TWO_PI
         rhos = scenario.rho_min + rng.random(m) * (scenario.rho_max - scenario.rho_min)
-        population.append(repair_budget(Chromosome(keys, thetas, rhos), scenario, rng))
+        population.append(repair_budget(Chromosome(keys, thetas, rhos), scenario, rng, table))
     return population
 
 
@@ -243,6 +340,7 @@ def mutate(
     scenario: Scenario,
     params: SolverParams,
     rng: np.random.Generator,
+    table: EdgeTable | None = None,
 ) -> Chromosome:
     """Resample all three attributes of each hit interior gene, then repair."""
     out = chromosome.copy()
@@ -253,7 +351,7 @@ def mutate(
         out.keys[i] = rng.random()
         out.thetas[i] = sample_von_mises(float(out.thetas[i]), params.von_mises_kappa, rng)
         out.rhos[i] = scenario.rho_min + rng.random() * (scenario.rho_max - scenario.rho_min)
-    return repair_budget(out, scenario, rng)
+    return repair_budget(out, scenario, rng, table)
 
 
 def align_headings(chromosome: Chromosome, scenario: Scenario) -> Chromosome:
@@ -432,8 +530,9 @@ def evolve(
         rng = np.random.default_rng(params.seed)
 
     ref_point = (-1.0, scenario.field.cap * scenario.t_max + 1.0)
-    pop = initialize_population(scenario, params, rng)
-    fits = [evaluate(ch, scenario, params.exposure_step) for ch in pop]
+    table = EdgeTable(scenario, params.exposure_step)
+    pop = initialize_population(scenario, params, rng, table)
+    fits = [evaluate(ch, scenario, params.exposure_step, table) for ch in pop]
     evaluations = len(pop)
     budget_violations = sum(f.length > scenario.t_max + 1e-9 for f in fits)
 
@@ -475,18 +574,18 @@ def evolve(
             pb = pop[_tournament(rng, len(pop), key)]
             if rng.random() < params.crossover_prob:
                 ca, cb = crossover_two_point(pa, pb, rng)
-                ca = repair_budget(ca, scenario, rng)
-                cb = repair_budget(cb, scenario, rng)
+                ca = repair_budget(ca, scenario, rng, table)
+                cb = repair_budget(cb, scenario, rng, table)
             else:
                 ca, cb = pa.copy(), pb.copy()
             for child in (ca, cb):
                 if rng.random() < params.mutation_prob_individual:
-                    child = mutate(child, scenario, params, rng)
+                    child = mutate(child, scenario, params, rng, table)
                 if params.alignment_mutation:
-                    child = repair_budget(align_headings(child, scenario), scenario, rng)
+                    child = repair_budget(align_headings(child, scenario), scenario, rng, table)
                 offspring.append(child)
         offspring = offspring[: params.population_size]
-        off_fits = [evaluate(ch, scenario, params.exposure_step) for ch in offspring]
+        off_fits = [evaluate(ch, scenario, params.exposure_step, table) for ch in offspring]
         evaluations += len(offspring)
         budget_violations += sum(f.length > scenario.t_max + 1e-9 for f in off_fits)
 

@@ -294,3 +294,18 @@ def test_bad_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("plot", ["abc", "0,", "-1"])
+def test_solve_bad_plot_value_exits_one_before_solving(tmp_path, capsys, plot):
+    rc = main(["solve", *SMALL_RUN, "--out-dir", str(tmp_path), "--plot", plot])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --plot")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_plot_index_outside_front_exits_one(tmp_path, capsys):
+    rc = main(["solve", *SMALL_RUN, "--out-dir", str(tmp_path), "--plot", "0,999"])
+    assert rc == 1
+    assert "out of range" in capsys.readouterr().err
+    assert not list(tmp_path.glob("plot_*.svg"))

@@ -1,0 +1,96 @@
+"""The per-run edge table gives exactly the numbers of a direct rebuild."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stealthtour.evolution import (
+    Chromosome, EdgeTable, decode, decoded_tour, evaluate, repair_budget,
+)
+from stealthtour.geometry import build_tour
+from stealthtour.pareto import Fitness
+from stealthtour.scenario import generate_instance, total_reward, with_overrides
+from stealthtour.sensing import exposure
+
+STEP = 0.5
+CROSS_1 = generate_instance("cross", 1)
+IDS = [loc.id for loc in CROSS_1.locations]
+SCENARIOS = {
+    "cross-1": CROSS_1,
+    "grid-2-closed": with_overrides(generate_instance("grid", 2, closed=True),
+                                    t_max=120.0, rho_min=1.0, rho_max=4.0),
+    "fixed-headings": replace(CROSS_1, fixed_headings={IDS[0]: 0.0, IDS[3]: 1.5, IDS[7]: 4.0,
+                                                       IDS[-1]: 0.5}),
+}
+
+
+def chromosome_pool(sc, seed, size=8):
+    """Variants of one random chromosome, so that their tours share edges."""
+    rng = np.random.default_rng(seed)
+    m = len(sc.locations)
+    base = Chromosome(np.where(rng.random(m) < 0.7, rng.random(m), -1.0),
+                      rng.random(m) * 2.0 * np.pi,
+                      sc.rho_min + rng.random(m) * (sc.rho_max - sc.rho_min))
+    base.keys[0], base.keys[-1] = 0.0, 1.0
+    pool = []
+    for _ in range(size):
+        ch = base.copy()
+        for i in rng.integers(1, m - 1, size=2):
+            ch.keys[i] = rng.random() if ch.keys[i] < 0.0 else -1.0
+        i = int(rng.integers(1, m - 1))
+        ch.thetas[i] = rng.random() * 2.0 * np.pi
+        pool.append(ch)
+    return pool
+
+
+def direct_fitness(ch, sc):
+    plan = decode(ch, sc)
+    tour = build_tour(list(plan.poses), list(plan.radii))
+    return Fitness(total_reward(sc, plan.ids), exposure(sc.field, tour, STEP), tour.total_length)
+
+
+def rebuild_repair(ch, sc, rng):
+    """Random-drop repair that rebuilds the whole tour after every drop."""
+    out = ch.copy()
+    while decoded_tour(out, sc).total_length > sc.t_max:
+        candidates = np.flatnonzero(out.keys[1:-1] >= 0.0) + 1
+        assert candidates.size, "the direct leg alone is over budget"
+        out.keys[candidates[int(rng.integers(candidates.size))]] = -1.0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       ops=st.lists(st.tuples(st.sampled_from(["score", "repair"]), st.integers(0, 7)),
+                    min_size=1, max_size=30))
+def test_shared_table_matches_direct_rebuild(name, seed, ops):
+    sc = SCENARIOS[name]
+    pool = chromosome_pool(sc, seed)
+    table = EdgeTable(sc, STEP)
+    for k, (op, i) in enumerate(ops):
+        if op == "score":
+            assert evaluate(pool[i], sc, STEP, table) == direct_fitness(pool[i], sc)
+            continue
+        rngs = [np.random.default_rng([seed, k]) for _ in range(3)]
+        warm = repair_budget(pool[i], sc, rngs[0], table)
+        cold = repair_budget(pool[i], sc, rngs[1])
+        assert warm.equals(cold) and warm.equals(rebuild_repair(pool[i], sc, rngs[2]))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+
+
+def test_table_refuses_another_scenario_or_step():
+    ch = chromosome_pool(CROSS_1, 0)[0]
+    table = EdgeTable(CROSS_1, STEP)
+    with pytest.raises(ValueError, match="edge table"):
+        evaluate(ch, CROSS_1, STEP / 2, table)
+    with pytest.raises(ValueError, match="edge table"):
+        evaluate(ch, SCENARIOS["fixed-headings"], STEP, table)
+    with pytest.raises(ValueError, match="edge table"):
+        repair_budget(ch, SCENARIOS["fixed-headings"], np.random.default_rng(0), table)
+    # an equal scenario rebuilt from scratch is the same scenario
+    assert evaluate(ch, generate_instance("cross", 1), STEP, table) == direct_fitness(ch, CROSS_1)
