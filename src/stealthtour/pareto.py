@@ -6,6 +6,7 @@ along but is not an objective.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -25,30 +26,29 @@ def dominates(a: Fitness, b: Fitness) -> bool:
 
 
 def non_dominated_sort(fits: list[Fitness]) -> list[list[int]]:
-    """Successive layers of non-domination (fast non-dominated sort)."""
-    n = len(fits)
-    dominated_by = [[] for _ in range(n)]
-    counts = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(fits[i], fits[j]):
-                dominated_by[i].append(j)
-                counts[j] += 1
-            elif dominates(fits[j], fits[i]):
-                dominated_by[j].append(i)
-                counts[i] += 1
-    fronts = []
-    current = [i for i in range(n) if counts[i] == 0]
-    while current:
-        fronts.append(current)
-        nxt = []
-        for i in current:
-            for j in dominated_by[i]:
-                counts[j] -= 1
-                if counts[j] == 0:
-                    nxt.append(j)
-        current = sorted(nxt)
-    return fronts
+    """Successive layers of non-domination, each in ascending index order.
+
+    With two objectives one sort and a sweep give every layer (Kung, Luccio &
+    Preparata, J. ACM 1975; Jensen, IEEE TEC 2003).  Points are visited by
+    falling reward, then rising exposure, and each joins the first layer
+    whose last member does not dominate it.  That member has the least
+    exposure and reward of its layer, and the last members rise strictly in
+    (exposure, -reward) from layer to layer, so a bisect on that pair finds
+    the layer; a point equal to a last member joins its layer.
+    """
+    order = sorted(range(len(fits)), key=lambda i: (-fits[i].reward, fits[i].exposure))
+    fronts: list[list[int]] = []
+    lasts: list[tuple[float, float]] = []
+    for i in order:
+        key = (fits[i].exposure, -fits[i].reward)
+        k = bisect_left(lasts, key)
+        if k == len(fronts):
+            fronts.append([i])
+            lasts.append(key)
+        else:
+            fronts[k].append(i)
+            lasts[k] = key
+    return [sorted(front) for front in fronts]
 
 
 def crowding_distance(fits: list[Fitness], front: list[int]) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sensing import SensorField
+from .sensing import WORKSPACE_BOUND, SensorField
 
 
 class ScenarioError(ValueError):
@@ -45,12 +45,17 @@ class Scenario:
         if len(self.locations) < 2:
             raise ScenarioError("locations: need at least start and goal")
         for name in ("t_max", "rho_min", "rho_max"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ScenarioError(f"{name}: must be finite")
+            if value > WORKSPACE_BOUND:
+                raise ScenarioError(f"{name}: must be at most {WORKSPACE_BOUND:g}")
         if self.t_max <= 0.0:
             raise ScenarioError("t_max: must be positive")
         if not (0.0 < self.rho_min <= self.rho_max):
             raise ScenarioError("rho_min/rho_max: need 0 < rho_min <= rho_max")
+        if self.rho_min < 1.0 / WORKSPACE_BOUND:
+            raise ScenarioError(f"rho_min: must be at least {1.0 / WORKSPACE_BOUND:g}")
         start, goal = self.locations[0], self.locations[-1]
         if start.reward != 0.0 or goal.reward != 0.0:
             raise ScenarioError("locations: start and goal rewards must be 0")
@@ -62,6 +67,8 @@ class Scenario:
         for loc in self.locations:
             if not all(map(math.isfinite, (loc.x, loc.y, loc.reward))):
                 raise ScenarioError(f"locations[{loc.id}]: x, y and reward must be finite")
+            if max(abs(loc.x), abs(loc.y)) > WORKSPACE_BOUND:
+                raise ScenarioError(f"locations[{loc.id}]: x and y must lie within +-{WORKSPACE_BOUND:g}")
             if loc.reward < 0.0:
                 raise ScenarioError(f"locations[{loc.id}].reward: must be non-negative")
         if self.fixed_headings:

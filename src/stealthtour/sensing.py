@@ -15,6 +15,11 @@ import numpy as np
 
 from .geometry import CompositePath, DubinsPath, sample_many
 
+# Largest magnitude of a coordinate, a budget or a turning radius, in metres;
+# the smallest radius is its inverse.  Within these the Dubins solver's squared
+# distance in radii (at most about 1e37) stays far from overflow.
+WORKSPACE_BOUND = 1e9
+
 
 @dataclass(frozen=True)
 class SensorField:
@@ -29,6 +34,8 @@ class SensorField:
         for n in self.nodes:
             if not (math.isfinite(n[0]) and math.isfinite(n[1])):
                 raise ValueError("sensor positions must be finite")
+            if max(abs(n[0]), abs(n[1])) > WORKSPACE_BOUND:
+                raise ValueError(f"sensor positions must lie within +-{WORKSPACE_BOUND:g}")
 
     def node_array(self) -> np.ndarray:
         return np.asarray(self.nodes, dtype=float).reshape(len(self.nodes), 2)

@@ -134,6 +134,25 @@ def test_solve_non_finite_scenario_file_exits_one(tmp_path, capsys, spoil):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("spoil", [
+    lambda d: d["locations"][3].update(x=1e300),
+    lambda d: d.update(rho_min=1e300, rho_max=1e300, t_max=1e300),
+    lambda d: d.update(rho_min=1e-300, rho_max=1e-300),
+    lambda d: d.update(sensors=[[15.0, -1e300]]),
+], ids=["huge-x", "huge-radii-and-budget", "tiny-radii", "huge-sensor-y"])
+def test_solve_scenario_file_beyond_workspace_bound_exits_one(tmp_path, capsys, spoil):
+    data = scenario_to_dict(CROSS_1)
+    spoil(data)
+    sc_file = tmp_path / "sc.json"
+    sc_file.write_text(json.dumps(data))
+    rc = main(["solve", "--scenario", str(sc_file), "--population", "4", "--generations", "1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "front.csv").exists()
+
+
 def evaluate_tour_file(tmp_path, content, *extra):
     tour_file = tmp_path / "tour.json"
     tour_file.write_text(content)

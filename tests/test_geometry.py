@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from stealthtour.geometry import (
     sample_many,
 )
 from stealthtour.oracles import family_oracle_length
+from stealthtour.sensing import WORKSPACE_BOUND
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,3 +199,14 @@ def test_composite_sample():
     assert (p.x, p.y) == pytest.approx((15.0, 0.0), abs=1e-9)
     end = sample(tour, tour.total_length)
     assert (end.x, end.y) == pytest.approx((20.0, 0.0), abs=1e-9)
+
+
+def test_dubins_finds_a_curve_at_the_workspace_bound():
+    # the loader's extremes: coordinates +-B, radii from 1/B to B
+    B = WORKSPACE_BOUND
+    coords = (-B, -1.0, 0.0, 1e-3, B)
+    headings = [(0.0, 0.0), (1.0, 4.0), (3.0, 0.5)]
+    for rho, x0, y1, (th0, th1) in itertools.product((1.0 / B, 1.0, B), coords, coords, headings):
+        path = dubins_shortest(Pose(x0, B, th0), Pose(-B, y1, th1), rho)
+        assert math.isfinite(path.length)
+        assert path.length >= math.dist((x0, B), (-B, y1)) * (1.0 - 1e-12)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stealthtour.oracles import brute_force_fronts, monte_carlo_hypervolume
 from stealthtour.pareto import (
@@ -62,6 +62,30 @@ def test_sort_matches_brute_force(rng):
     ]
     got = [sorted(f) for f in non_dominated_sort(fits)]
     assert got == brute_force_fronts(fits)
+
+
+@st.composite
+def tie_heavy_fits(draw):
+    """Points on small integer grids: duplicates and equal objectives abound."""
+    rewards = st.integers(0, draw(st.integers(0, 8))).map(lambda r: r / 2.0)
+    exposures = st.integers(0, draw(st.integers(0, 8))).map(float)
+    pairs = draw(st.lists(st.tuples(rewards, exposures), max_size=300))
+    return [fit(r, e, length) for length, (r, e) in enumerate(pairs)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_fits())
+def test_sort_equals_brute_force_on_ties(fits):
+    # no sorted() around the layers: selection and niching read layer order
+    assert non_dominated_sort(fits) == brute_force_fronts(fits)
+
+
+def test_sort_tie_cases():
+    assert non_dominated_sort([]) == []
+    assert non_dominated_sort([fit(2.0, 3.0)] * 7) == [list(range(7))]
+    # equal exposure: each higher reward dominates every lower one
+    chain = [fit(float(r), 4.0) for r in (1, 5, 3, 2, 4)]
+    assert non_dominated_sort(chain) == [[1], [4], [2], [3], [0]]
 
 
 def test_hypervolume_single_rectangle():

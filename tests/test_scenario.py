@@ -175,9 +175,23 @@ def test_non_finite_numbers_rejected(change):
         load_scenario(json.dumps(dict(MINIMAL, **change)))
 
 
-# Finite values stay within +-1e3: at 1e300 a coordinate overflows the Dubins
-# solver and a radius the exposure quadrature, which finiteness alone does not fix.
-ANY_NUMBER = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("change", [
+    {"t_max": 1e300},
+    {"rho_max": 2e9},
+    {"rho_min": 1e-300},
+    {"locations": [{"id": 0, "x": 0.0, "y": -1e300, "reward": 0.0},
+                   {"id": 1, "x": 10.0, "y": 0.0, "reward": 0.0}]},
+    {"sensors": [[1e300, 0.0]]},
+], ids=["huge-t_max", "huge-rho_max", "tiny-rho_min", "huge-y", "huge-sensor-x"])
+def test_numbers_beyond_workspace_bound_rejected(change):
+    with pytest.raises(ScenarioError, match="at most|at least|within"):
+        load_scenario(json.dumps(dict(MINIMAL, **change)))
+
+
+# Finite values come from +-1e3, or lie far past the workspace bound (+-1e300, 1e-300),
+# where coordinates, budget and radii must be rejected by name.
+ANY_NUMBER = st.floats(-1e3, 1e3) | st.sampled_from(
+    [0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300])
 
 
 @st.composite
