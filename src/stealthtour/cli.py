@@ -5,31 +5,24 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import oracles
-from .evolution import (
-    InfeasibleScenarioError, check_tour, evolve, plan_from_tour, sample_von_mises, score,
-)
-from .geometry import TWO_PI, Pose, dubins_shortest, path_end
-from .pareto import Fitness, non_dominated_sort
+from .evolution import InfeasibleScenarioError, check_tour, evolve, plan_from_tour, score
+from .oracles import ORACLE_CHECKS
+from .pareto import Fitness
 from .scenario import (
     Scenario,
     ScenarioError,
     SolverParams,
-    TargetLocation,
     generate_instance,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
     with_overrides,
 )
-from .sensing import SensorField
+from .sensing import QuadratureTooLargeError
 from .plotting import render_solution_svg
 
 
@@ -128,6 +121,9 @@ def cmd_solve(args) -> int:
     except InfeasibleScenarioError as exc:
         print(f"infeasible scenario: {exc}", file=sys.stderr)
         return 1
+    except QuadratureTooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     duration = time.perf_counter() - t0
 
     lines = ["reward,exposure,length"]
@@ -216,83 +212,11 @@ def cmd_plot(args) -> int:
     return 0
 
 
-# --- oracle checks --------------------------------------------------------
-
-
-def _check_dubins_endpoint(n, seed):
-    rng = np.random.default_rng(seed)
-    worst_ep = 0.0
-    for _ in range(n):
-        s = Pose(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(0, TWO_PI))
-        e = Pose(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(0, TWO_PI))
-        rho = rng.uniform(0.5, 4.0)
-        path = dubins_shortest(s, e, rho)
-        got = path_end(path)
-        err = max(
-            abs(got.x - e.x),
-            abs(got.y - e.y),
-            abs((got.theta - e.theta + math.pi) % TWO_PI - math.pi),
-        )
-        worst_ep = max(worst_ep, err)
-        if err > 1e-6:
-            return False, f"endpoint error {err:.3e} > 1e-6"
-        for fam in ("LSL", "RSR", "LSR", "RSL", "RLR", "LRL"):
-            ref = oracles.family_oracle_length(s, e, rho, fam)
-            if ref is not None and path.length > ref + 1e-9:
-                return False, f"length {path.length:.9f} > {fam} oracle {ref:.9f}"
-    return True, f"{n} pose pairs, max endpoint error {worst_ep:.3e}"
-
-
-def _check_exposure_arctan(n, seed):
-    field = SensorField(nodes=((0.0, 5.0),), alpha=50.0, mu=2.0, cap=30.0)
-    ends = (TargetLocation(0, -10.0, 0.0, 0.0), TargetLocation(1, 10.0, 0.0, 0.0))
-    sc = Scenario("straight", ends, field, t_max=30.0, rho_min=1.0, rho_max=1.0)
-    got = score(plan_from_tour(sc, [0, 1], [0.0, 0.0], [1.0]), sc, 0.01).exposure
-    exact = oracles.straight_exposure_closed_form(50.0, 5.0, -10.0, 10.0)
-    rel = abs(got - exact) / exact
-    return rel <= 1e-4, f"quadrature error {rel:.3e} relative (E={got:.5f})"
-
-
-def _check_dominance(n, seed):
-    rng = np.random.default_rng(seed)
-    fits = [Fitness(float(rng.integers(0, 20)) / 2.0, float(rng.integers(0, 50)), 0.0)
-            for _ in range(n)]
-    got = non_dominated_sort(fits)
-    ref = oracles.brute_force_fronts(fits)
-    same = got == ref
-    return same, f"{n} points, {len(ref)} fronts"
-
-
-def _check_vonmises_bessel(n, seed):
-    rng = np.random.default_rng(seed)
-    kappa = 2.0
-    samples = np.array([sample_von_mises(1.0, kappa, rng) for _ in range(n)])
-    mrl = float(np.hypot(np.cos(samples - 1.0).mean(), np.sin(samples - 1.0).mean()))
-    expected = oracles.bessel_i1(kappa) / oracles.bessel_i0(kappa)
-    return abs(mrl - expected) <= 0.01, f"resultant length {mrl:.4f} vs {expected:.4f}"
-
-
-def _check_vonmises_density(n, seed):
-    from scipy.stats import chi2
-
-    rng = np.random.default_rng(seed)
-    kappa, mean, bins = 2.0, 1.0, 36
-    samples = np.array([sample_von_mises(mean, kappa, rng) for _ in range(n)])
-    counts, _ = np.histogram(samples, bins=bins, range=(0.0, TWO_PI))
-    probs = oracles.von_mises_bin_probabilities(mean, kappa, bins)
-    expected = probs * n
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    crit = float(chi2.ppf(0.99, bins - 1))
-    return stat <= crit, f"chi-square {stat:.2f} vs critical {crit:.2f} at 1%"
-
-
-ORACLE_CHECKS = {
-    "dubins-endpoint": (_check_dubins_endpoint, 2000),
-    "exposure-arctan": (_check_exposure_arctan, 0),
-    "dominance": (_check_dominance, 200),
-    "vonmises-bessel": (_check_vonmises_bessel, 100_000),
-    "vonmises-density": (_check_vonmises_density, 100_000),
-}
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def cmd_oracle(args) -> int:
@@ -342,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="run independent verification checks")
     p_oracle.add_argument("--check", choices=sorted(ORACLE_CHECKS))
-    p_oracle.add_argument("--n", type=int, default=None)
+    p_oracle.add_argument("--n", type=_positive_int, default=None,
+                          help="sample size (default: each check's own)")
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -4,10 +4,14 @@ A chromosome has one gene per location: a sort key (negative = skipped),
 a heading and a turning radius.  Variation is two-point crossover over
 interior genes plus per-gene mutation (fresh key, von Mises heading kick,
 fresh radius); feasibility is restored by randomly dropping visits until
-the tour fits the travel budget.  Selection is NSGA-style, with either
-reference-point niching or crowding distance, and an elitist archive
-tracks the best (reward, exposure) front seen so far.  Scoring and repair
-read each Dubins curve's length and exposure from a per-run ``EdgeTable``.
+the tour fits the travel budget.  ``evolve`` runs one generational step
+for every generation, the initial population included: score the
+offspring, then survive.  ``_pareto_survivors`` selects NSGA-style, with
+either reference-point niching or crowding distance, and keeps an elitist
+archive of the best (reward, exposure) front seen so far;
+``_best_survivors`` is the single-objective baseline, which ranks by reward
+and keeps the one best tour.  Scoring and repair read each Dubins curve's
+length and exposure from a per-run ``EdgeTable``.
 """
 
 from __future__ import annotations
@@ -520,6 +524,47 @@ def _tournament(rng, n, key):
     return a if key(a) <= key(b) else b
 
 
+def _best_survivors(pop, fits, offspring, off_fits, archive, scenario, params, rng):
+    """Single objective: keep the most reward, then the shortest tour; archive the best seen."""
+    merged, merged_fits = pop + offspring, fits + off_fits
+    rank = lambda f: (-f.reward, f.length)
+    order = sorted(range(len(merged)), key=lambda i: rank(merged_fits[i]))[: params.population_size]
+    pop, fits = [merged[i] for i in order], [merged_fits[i] for i in order]
+    if not archive or rank(fits[0]) < rank(archive[0].fitness):
+        archive = [Solution(pop[0].copy(), fits[0], decode(pop[0], scenario))]
+    return pop, fits, archive, lambda i: (-fits[i].reward,)
+
+
+def _pareto_survivors(pop, fits, offspring, off_fits, archive, scenario, params, rng):
+    """Two objectives: archive the offspring, then select among parents and offspring."""
+    archive = _update_archive(archive, offspring, off_fits, scenario)
+    pop, fits, ranks, div, tiebreak = _environmental_selection(
+        pop + offspring, fits + off_fits, params, rng
+    )
+    return pop, fits, archive, lambda i: (ranks[i], div[i], tiebreak[i])
+
+
+def _variation(pop, key, scenario, params, rng, table) -> list[Chromosome]:
+    """population_size children of tournament-picked parents: crossover, mutation, repair."""
+    offspring: list[Chromosome] = []
+    while len(offspring) < params.population_size:
+        pa = pop[_tournament(rng, len(pop), key)]
+        pb = pop[_tournament(rng, len(pop), key)]
+        if rng.random() < params.crossover_prob:
+            ca, cb = crossover_two_point(pa, pb, rng)
+            ca = repair_budget(ca, scenario, rng, table)
+            cb = repair_budget(cb, scenario, rng, table)
+        else:
+            ca, cb = pa.copy(), pb.copy()
+        for child in (ca, cb):
+            if rng.random() < params.mutation_prob_individual:
+                child = mutate(child, scenario, params, rng, table)
+            if params.alignment_mutation:
+                child = repair_budget(align_headings(child, scenario), scenario, rng, table)
+            offspring.append(child)
+    return offspring[: params.population_size]
+
+
 def evolve(
     scenario: Scenario,
     params: SolverParams,
@@ -528,86 +573,35 @@ def evolve(
     """Run the generational loop and return the non-dominated front found."""
     if rng is None:
         rng = np.random.default_rng(params.seed)
-
+    survive = _best_survivors if params.single_objective else _pareto_survivors
     ref_point = (-1.0, scenario.field.cap * scenario.t_max + 1.0)
     table = EdgeTable(scenario, params.exposure_step)
-    pop = initialize_population(scenario, params, rng, table)
-    fits = [evaluate(ch, scenario, params.exposure_step, table) for ch in pop]
-    evaluations = len(pop)
-    budget_violations = sum(f.length > scenario.t_max + 1e-9 for f in fits)
+    pop, fits, archive, key = [], [], [], None
+    stats, evaluations, budget_violations = [], 0, 0
 
-    single = params.single_objective
-    if single:
-        order = sorted(range(len(pop)), key=lambda i: (-fits[i].reward, fits[i].length))
-        pop = [pop[i] for i in order]
-        fits = [fits[i] for i in order]
-        best = Solution(pop[0].copy(), fits[0], decode(pop[0], scenario))
-        archive: list[Solution] = [best]
-        ranks = div = tiebreak = None
-    else:
-        archive = _update_archive([], pop, fits, scenario)
-        pop, fits, ranks, div, tiebreak = _environmental_selection(pop, fits, params, rng)
+    for gen in range(params.generations + 1):
+        if gen == 0:
+            offspring = initialize_population(scenario, params, rng, table)
+        else:
+            offspring = _variation(pop, key, scenario, params, rng, table)
+        off_fits = [evaluate(ch, scenario, params.exposure_step, table) for ch in offspring]
+        evaluations += len(offspring)
+        budget_violations += sum(f.length > scenario.t_max + 1e-9 for f in off_fits)
+        pop, fits, archive, key = survive(
+            pop, fits, offspring, off_fits, archive, scenario, params, rng
+        )
 
-    def stats_for(gen):
         front_fits = [s.fitness for s in archive]
         # with several sensors a tour can be more exposed than cap * t_max; such
         # points lie outside the reference box and add no area
         hv = hypervolume_2d([f for f in front_fits if f.exposure <= ref_point[1]], ref_point)
-        return GenStats(
+        stats.append(GenStats(
             generation=gen,
             front_size=len(archive),
             hypervolume=hv,
             best_reward=max(f.reward for f in front_fits),
             min_exposure=min(f.exposure for f in front_fits),
-        )
-
-    stats = [stats_for(0)]
-
-    for gen in range(1, params.generations + 1):
-        if single:
-            key = lambda i: (-fits[i].reward,)
-        else:
-            key = lambda i: (ranks[i], div[i], tiebreak[i])
-        offspring: list[Chromosome] = []
-        while len(offspring) < params.population_size:
-            pa = pop[_tournament(rng, len(pop), key)]
-            pb = pop[_tournament(rng, len(pop), key)]
-            if rng.random() < params.crossover_prob:
-                ca, cb = crossover_two_point(pa, pb, rng)
-                ca = repair_budget(ca, scenario, rng, table)
-                cb = repair_budget(cb, scenario, rng, table)
-            else:
-                ca, cb = pa.copy(), pb.copy()
-            for child in (ca, cb):
-                if rng.random() < params.mutation_prob_individual:
-                    child = mutate(child, scenario, params, rng, table)
-                if params.alignment_mutation:
-                    child = repair_budget(align_headings(child, scenario), scenario, rng, table)
-                offspring.append(child)
-        offspring = offspring[: params.population_size]
-        off_fits = [evaluate(ch, scenario, params.exposure_step, table) for ch in offspring]
-        evaluations += len(offspring)
-        budget_violations += sum(f.length > scenario.t_max + 1e-9 for f in off_fits)
-
-        merged = pop + offspring
-        merged_fits = fits + off_fits
-        if single:
-            order = sorted(
-                range(len(merged)), key=lambda i: (-merged_fits[i].reward, merged_fits[i].length)
-            )[: params.population_size]
-            pop = [merged[i] for i in order]
-            fits = [merged_fits[i] for i in order]
-            if fits[0].reward > archive[0].fitness.reward or (
-                fits[0].reward == archive[0].fitness.reward
-                and fits[0].length < archive[0].fitness.length
-            ):
-                archive = [Solution(pop[0].copy(), fits[0], decode(pop[0], scenario))]
-        else:
-            archive = _update_archive(archive, offspring, off_fits, scenario)
-            pop, fits, ranks, div, tiebreak = _environmental_selection(
-                merged, merged_fits, params, rng
-            )
-        stats.append(stats_for(gen))
+        ))
 
     return EvolveResult(
         front=list(archive),

@@ -1,9 +1,12 @@
-"""Independent verification oracles.
+"""Independent verification oracles, and the checks that hold the main path to them.
 
-These deliberately re-derive results through different routes than the
-main code paths: tangent-circle geometry for curve lengths, a closed-form
-integral for exposure, brute-force pairwise dominance for front sorting,
-and series-evaluated Bessel functions for the circular sampler.
+The oracles deliberately re-derive results through different routes than
+the main code paths: tangent-circle geometry for curve lengths, a
+closed-form integral for exposure, brute-force pairwise dominance for
+front sorting, and series-evaluated Bessel functions for the circular
+sampler.  Each ``check_*(n, seed) -> (ok, detail)`` at the end compares
+the main path with one of them; ``stealthtour oracle`` and the acceptance
+criteria run the same checks.  The main path never imports this module.
 """
 
 from __future__ import annotations
@@ -12,8 +15,11 @@ import math
 
 import numpy as np
 
-from .geometry import Pose, TWO_PI
-from .pareto import Fitness
+from .evolution import plan_from_tour, sample_von_mises, score
+from .geometry import Pose, TWO_PI, dubins_shortest, path_end
+from .pareto import Fitness, non_dominated_sort
+from .scenario import Scenario, TargetLocation
+from .sensing import SensorField
 
 # --- tangent-circle construction of individual curve families -------------
 
@@ -222,3 +228,86 @@ def monte_carlo_hypervolume(front: list[Fitness], reference, samples: int, seed:
     frac = hit.mean()
     se = math.sqrt(max(frac * (1.0 - frac), 1e-12) / samples)
     return box * float(frac), box * se
+
+
+# --- checks of the main path against the oracles --------------------------
+
+
+def check_dubins_endpoint(n: int, seed: int):
+    """Shortest curves end on the target pose and beat every family's tangent construction."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        s = Pose(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(0, TWO_PI))
+        e = Pose(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(0, TWO_PI))
+        rho = rng.uniform(0.5, 4.0)
+        path = dubins_shortest(s, e, rho)
+        got = path_end(path)
+        err = max(abs(got.x - e.x), abs(got.y - e.y),
+                  abs((got.theta - e.theta + math.pi) % TWO_PI - math.pi))
+        worst = max(worst, err)
+        if not err < 1e-6:
+            return False, f"endpoint error {err:.3e} >= 1e-6"
+        for fam in ("LSL", "RSR", "LSR", "RSL", "RLR", "LRL"):
+            ref = family_oracle_length(s, e, rho, fam)
+            if ref is not None and path.length > ref + 1e-9:
+                return False, f"length {path.length:.9f} > {fam} oracle {ref:.9f}"
+    return True, f"{n} pose pairs, max endpoint error {worst:.3e}"
+
+
+def check_exposure_arctan(n: int, seed: int):
+    """Quadrature of a straight leg past one node against the arctan closed form."""
+    field = SensorField(nodes=((0.0, 5.0),), alpha=50.0, mu=2.0, cap=30.0)
+    ends = (TargetLocation(0, -10.0, 0.0, 0.0), TargetLocation(1, 10.0, 0.0, 0.0))
+    sc = Scenario("straight", ends, field, t_max=30.0, rho_min=1.0, rho_max=1.0)
+    got = score(plan_from_tour(sc, [0, 1], [0.0, 0.0], [1.0]), sc, 0.01).exposure
+    exact = straight_exposure_closed_form(50.0, 5.0, -10.0, 10.0)
+    rel = abs(got - exact) / exact
+    ok = abs(exact - 22.14297) <= 1e-5 and rel < 1e-4
+    return ok, f"quadrature error {rel:.3e} relative (E={got:.5f})"
+
+
+def check_dominance(n: int, seed: int):
+    """The sorted layers, in order, against brute-force peeling on tie-heavy points."""
+    rng = np.random.default_rng(seed)
+    fits = [Fitness(float(rng.integers(0, 40)) / 4.0, float(rng.integers(0, 80)), 0.0)
+            for _ in range(n)]
+    ref = brute_force_fronts(fits)
+    return non_dominated_sort(fits) == ref, f"{n} points, {len(ref)} fronts"
+
+
+def _von_mises_samples(n: int, seed: int, mean: float, kappa: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.array([sample_von_mises(mean, kappa, rng) for _ in range(n)])
+
+
+def check_vonmises_bessel(n: int, seed: int):
+    """The sampler's mean resultant length against I1(kappa) / I0(kappa)."""
+    mean, kappa = 1.0, 2.0
+    samples = _von_mises_samples(n, seed, mean, kappa)
+    mrl = float(np.hypot(np.cos(samples - mean).mean(), np.sin(samples - mean).mean()))
+    expected = bessel_i1(kappa) / bessel_i0(kappa)
+    return abs(mrl - expected) <= 0.01, f"resultant length {mrl:.4f} vs {expected:.4f}"
+
+
+def check_vonmises_density(n: int, seed: int):
+    """Chi-square of the sampler's 36-bin histogram against the integrated density."""
+    from scipy.stats import chi2  # imported here: scipy.stats is slow to load for the CLI
+
+    mean, kappa, bins = 1.0, 2.0, 36
+    samples = _von_mises_samples(n, seed, mean, kappa)
+    counts, _ = np.histogram(samples, bins=bins, range=(0.0, TWO_PI))
+    expected = von_mises_bin_probabilities(mean, kappa, bins) * n
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    crit = float(chi2.ppf(0.99, bins - 1))
+    return stat <= crit, f"chi-square {stat:.2f} vs critical {crit:.2f} at 1%"
+
+
+# name -> (check, default n)
+ORACLE_CHECKS = {
+    "dubins-endpoint": (check_dubins_endpoint, 2000),
+    "exposure-arctan": (check_exposure_arctan, 1),
+    "dominance": (check_dominance, 200),
+    "vonmises-bessel": (check_vonmises_bessel, 100_000),
+    "vonmises-density": (check_vonmises_density, 100_000),
+}

@@ -20,6 +20,15 @@ from .geometry import CompositePath, DubinsPath, sample_many
 # distance in radii (at most about 1e37) stays far from overflow.
 WORKSPACE_BOUND = 1e9
 
+# Most (sample point, sensor) pairs one curve's quadrature may take: 1e7 pairs
+# keep each float temporary near 80 MB.  The builtin instances need at most
+# about 26,000 (a 120 m curve at step 0.05 past 11 sensors).
+MAX_QUADRATURE_PAIRS = 10_000_000
+
+
+class QuadratureTooLargeError(ValueError):
+    """A curve needs more quadrature samples than ``MAX_QUADRATURE_PAIRS`` allows."""
+
 
 @dataclass(frozen=True)
 class SensorField:
@@ -71,6 +80,13 @@ def intensity_many(field: SensorField, xs: np.ndarray, ys: np.ndarray) -> np.nda
 def _simpson_curve(field: SensorField, curve: DubinsPath, step: float) -> float:
     if curve.length <= 0.0:
         return 0.0
+    points = curve.length / step  # a float, so a huge count cannot overflow
+    if points * max(1, len(field.nodes)) > MAX_QUADRATURE_PAIRS:
+        raise QuadratureTooLargeError(
+            f"a {curve.length:.6g} m curve at exposure step {step:g} needs about {points:.3g} "
+            f"quadrature points for each of {len(field.nodes)} sensors, more than "
+            f"{MAX_QUADRATURE_PAIRS:g} point-sensor pairs"
+        )
     n = 2 * max(1, math.ceil(curve.length / (2.0 * step)))
     s = np.linspace(0.0, curve.length, n + 1)
     xs, ys, _ = sample_many(curve, s)

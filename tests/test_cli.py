@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stealthtour import oracles
 from stealthtour.cli import main
 from stealthtour.evolution import plan_from_tour
 from stealthtour.scenario import ScenarioError, generate_instance, save_scenario, scenario_to_dict
@@ -151,6 +152,32 @@ def test_solve_scenario_file_beyond_workspace_bound_exits_one(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "front.csv").exists()
+
+
+def test_solve_quadrature_beyond_bound_exits_one(tmp_path, capsys):
+    rc = main(["solve", "--instance", "cross", "--population", "4", "--generations", "0",
+               "--exposure-step", "1e-300", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "point-sensor pairs" in err
+    assert not (tmp_path / "front.csv").exists()
+
+
+def test_evaluate_edge_beyond_quadrature_bound_exits_one(tmp_path, capsys):
+    # start and goal 2e9 apart lie inside the loader's bounds, but the one edge
+    # between them would need 4e10 samples at step 0.05
+    data = scenario_to_dict(CROSS_1)
+    data["locations"][0].update(x=-1e9, y=0.0)
+    data["locations"][-1].update(x=1e9, y=0.0)
+    sc_file = tmp_path / "sc.json"
+    sc_file.write_text(json.dumps(data))
+    tour_file = tmp_path / "tour.json"
+    tour_file.write_text(json.dumps({"ids": [START, GOAL], "headings": [0.0, 0.0],
+                                     "radii": [1.0]}))
+    rc = main(["evaluate", "--scenario", str(sc_file), "--tour", str(tour_file)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "point-sensor pairs" in err
 
 
 def evaluate_tour_file(tmp_path, content, *extra):
@@ -304,6 +331,20 @@ def test_oracle_checks_all_pass(capsys):
     assert rc == 0
     rc = main(["oracle", "--check", "dubins-endpoint", "--n", "200"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("n", ["-5", "0"])
+def test_oracle_sample_size_below_one_exits_two(capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--check", "dubins-endpoint", "--n", n])
+    assert exc.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
+def test_oracle_failing_check_prints_fail_and_exits_one(monkeypatch, capsys):
+    monkeypatch.setitem(oracles.ORACLE_CHECKS, "dominance", (lambda n, seed: (False, "forced"), 1))
+    assert main(["oracle", "--check", "dominance"]) == 1
+    assert capsys.readouterr().out == "FAIL dominance (forced)\n"
 
 
 def test_bad_arguments_exit_two():

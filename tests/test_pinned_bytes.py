@@ -27,6 +27,10 @@ CONFIGS = {
     "cross-1-single-objective": CROSS_1 + ["--single-objective"],
     "grid-2-closed": GRID_2_CLOSED,
     "fixed-headings": ["--seed", "5", "--population", "40", "--generations", "20"],
+    # generation 0 alone: the initial population's scoring and survival
+    "cross-1-reference-point-gen-0": CROSS_1[:-1] + ["0"],
+    "cross-1-crowding-distance-gen-0": CROSS_1[:-1] + ["0", "--selection", "crowding-distance"],
+    "cross-1-single-objective-gen-0": CROSS_1[:-1] + ["0", "--single-objective"],
 }
 
 # (front.csv, report.json without duration_seconds)
@@ -49,6 +53,15 @@ PINNED = {
     "fixed-headings": (
         "c623bb4caae2584cc82669fa3f87a499453bcca89c9bc074d8173bcbeae582e1",
         "b9fdc351772c54a4b7e904748640e4c6ecdc461dac1df8bbacca30995eab0da5"),
+    "cross-1-reference-point-gen-0": (
+        "d4c19fb1972743703bce22dfd9370bcd489ee7c0529d2cee6dace9e6ef000374",
+        "c1a658885ca34bbb68cd2d7d5be03f4b723d320c9bde803d8b9802ec574fbe92"),
+    "cross-1-crowding-distance-gen-0": (
+        "d4c19fb1972743703bce22dfd9370bcd489ee7c0529d2cee6dace9e6ef000374",
+        "1e483fc49a44b3d89ffa70d9a923a791cc29f2ebae0f1cf0ec809904d7588e6a"),
+    "cross-1-single-objective-gen-0": (
+        "bfc119f192acd674f362d55feec2801101b56fc2428189649ec10d2797746684",
+        "aaee150a3dddb21e98f2a7f60248f8214c99cfa8aadf7a51632a68ca70a3155c"),
 }
 
 

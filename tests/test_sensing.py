@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from stealthtour import sensing
 from stealthtour.geometry import Pose, build_tour
 from stealthtour.oracles import straight_exposure_closed_form
 from stealthtour.sensing import (
+    QuadratureTooLargeError,
     SensorField,
     exposure,
     field_intensity,
@@ -85,6 +87,17 @@ def test_exposure_empty_field_and_bad_step():
     assert exposure(empty, straight(-10, 10), 0.05) == 0.0
     with pytest.raises(ValueError):
         exposure(one_node(), straight(-10, 10), 0.0)
+
+
+def test_exposure_sample_count_is_bounded(monkeypatch):
+    with pytest.raises(QuadratureTooLargeError):
+        exposure(one_node(), straight(-10, 10), 1e-300)
+    # the bound counts point-sensor pairs: 400 points pass with one node, not with three
+    monkeypatch.setattr(sensing, "MAX_QUADRATURE_PAIRS", 1000)
+    assert exposure(one_node(), straight(-10, 10), 0.05) > 0.0
+    three = SensorField(nodes=((0.0, 1.0), (0.0, 2.0), (0.0, 3.0)), alpha=50.0, mu=2.0, cap=30.0)
+    with pytest.raises(QuadratureTooLargeError, match="each of 3 sensors"):
+        exposure(three, straight(-10, 10), 0.05)
 
 
 def test_exposure_matches_arctan_closed_form():
