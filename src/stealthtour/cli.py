@@ -219,6 +219,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not a non-negative integer")
+    return value
+
+
 def cmd_oracle(args) -> int:
     names = [args.check] if args.check else list(ORACLE_CHECKS)
     all_ok = True
@@ -268,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--check", choices=sorted(ORACLE_CHECKS))
     p_oracle.add_argument("--n", type=_positive_int, default=None,
                           help="sample size (default: each check's own)")
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--seed", type=_non_negative_int, default=0)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_plot = sub.add_parser("plot", help="render one front solution as SVG")

@@ -11,7 +11,9 @@ either reference-point niching or crowding distance, and keeps an elitist
 archive of the best (reward, exposure) front seen so far;
 ``_best_survivors`` is the single-objective baseline, which ranks by reward
 and keeps the one best tour.  Scoring and repair read each Dubins curve's
-length and exposure from a per-run ``EdgeTable``.
+length and exposure from a per-run ``EdgeTable``; ``evaluate_all`` scores a
+whole generation in one pass, integrating its new curves' exposures in
+batches.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
-from .geometry import Pose, build_tour, CompositePath
+from . import geometry, sensing
+from .geometry import Pose, build_tour, CompositePath, DubinsPath
 from .pareto import Fitness, crowding_distance, dominates, hypervolume_2d, non_dominated_sort
 from .scenario import Scenario, ScenarioError, SolverParams
-from .sensing import exposure
+from .sensing import exposure  # noqa: F401  (a name perfbench/tracing.py wraps)
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,29 +65,31 @@ class TourPlan:
     radii: tuple[float, ...]
 
 
-def _visits(chromosome: Chromosome, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Visit order (active genes by key) and headings after the fixed and closed overrides."""
+def _visits(chromosome: Chromosome, scenario: Scenario) -> tuple[list, list, list]:
+    """Visit order, per-visit headings and per-segment radii of the decoded tour.
+
+    The order sorts the active genes by key, headings are taken after the fixed
+    and closed overrides, and a segment's radius is its first visit's gene.
+    """
     active = np.flatnonzero(chromosome.keys >= 0.0)
-    order = active[np.argsort(chromosome.keys[active], kind="stable")]
-    thetas = chromosome.thetas.copy()
+    order = active[np.argsort(chromosome.keys[active], kind="stable")].tolist()
+    thetas = chromosome.thetas.tolist()
     if scenario.fixed_headings:
         for lid, th in scenario.fixed_headings.items():
             thetas[scenario.index_of(lid)] = th % TWO_PI
     if scenario.closed:
         thetas[-1] = thetas[0]
-    return order, thetas
+    rhos = chromosome.rhos.tolist()
+    return order, [thetas[i] for i in order], [rhos[i] for i in order[:-1]]
 
 
 def decode(chromosome: Chromosome, scenario: Scenario) -> TourPlan:
     """Active genes sorted by key; poses get gene headings, segments gene radii."""
-    order, thetas = _visits(chromosome, scenario)
-    poses = tuple(
-        Pose(scenario.locations[i].x, scenario.locations[i].y, float(thetas[i]))
-        for i in order
-    )
-    radii = tuple(float(chromosome.rhos[i]) for i in order[:-1])
-    ids = tuple(int(scenario.locations[i].id) for i in order)
-    return TourPlan(tuple(int(i) for i in order), ids, poses, radii)
+    order, headings, radii = _visits(chromosome, scenario)
+    locations = scenario.locations
+    poses = tuple(Pose(locations[i].x, locations[i].y, th) for i, th in zip(order, headings))
+    ids = tuple(int(locations[i].id) for i in order)
+    return TourPlan(tuple(order), ids, poses, tuple(radii))
 
 
 def decoded_tour(chromosome: Chromosome, scenario: Scenario) -> CompositePath:
@@ -93,15 +97,25 @@ def decoded_tour(chromosome: Chromosome, scenario: Scenario) -> CompositePath:
     return build_tour(list(plan.poses), list(plan.radii))
 
 
+def _edge_keys(order, headings, radii) -> list[tuple]:
+    """Each segment's edge key: (from index, from heading, to index, to heading, radius).
+
+    Headings are reduced to [0, 2*pi) as ``Pose`` reduces them, so one curve
+    has one key whichever route its headings came by.
+    """
+    _check_chain(len(order), len(radii))
+    h = [th % TWO_PI for th in headings]
+    return [(order[k], h[k], order[k + 1], h[k + 1], r) for k, r in enumerate(radii)]
+
+
 class EdgeTable:
     """Length and exposure of each distinct Dubins edge met while solving one scenario.
 
-    An edge is keyed by (from index, from heading, to index, to heading,
-    radius), headings taken after decode's overrides.  Its curve is a pure
-    function of that key, so an entry holds exactly what ``build_tour`` and
-    ``exposure`` would compute again, and sums of entries in tour order are
-    bit-identical to theirs.  Entries are (length, exposure) floats; exposure
-    stays None until scoring first needs it, as repair needs lengths only.
+    An edge is keyed by ``_edge_keys``.  Its curve is a pure function of the
+    key, so an entry holds exactly what ``build_tour`` and ``exposure`` would
+    compute again, and sums of entries in tour order are bit-identical to
+    theirs.  Entries are (length, exposure) floats; exposure stays None until
+    scoring first needs it, as repair needs lengths only.
     """
 
     def __init__(self, scenario: Scenario, exposure_step: float | None = None):
@@ -115,23 +129,21 @@ class EdgeTable:
             exposure_step is None or exposure_step == self.exposure_step
         )
 
-    def tour_length(self, chromosome: Chromosome) -> float:
-        """Length of the decoded tour, summed in tour order as ``build_tour`` sums it."""
-        order, thetas = _visits(chromosome, self.scenario)
-        order, thetas, rhos = order.tolist(), thetas.tolist(), chromosome.rhos.tolist()
-        _check_chain(len(order), len(order) - 1)
-        edges, locations = self.edges, self.scenario.locations
+    def curve(self, key: tuple) -> DubinsPath:
+        a, theta_a, b, theta_b, radius = key
+        start, end = self.scenario.locations[a], self.scenario.locations[b]
+        return geometry.dubins_shortest(
+            Pose(start.x, start.y, theta_a), Pose(end.x, end.y, theta_b), radius
+        )
+
+    def tour_length(self, keys: list[tuple]) -> float:
+        """Length of the chained edges, summed from 0.0 in tour order as ``build_tour`` sums it."""
+        edges = self.edges
         total = 0.0
-        for a, b in zip(order, order[1:]):
-            # a heading not yet reduced to [0, 2*pi) still names one curve, as Pose reduces it
-            key = (a, thetas[a], b, thetas[b], rhos[a])
+        for key in keys:
             entry = edges.get(key)
             if entry is None:
-                start, end = locations[a], locations[b]
-                curve = geometry.dubins_shortest(
-                    Pose(start.x, start.y, thetas[a]), Pose(end.x, end.y, thetas[b]), rhos[a]
-                )
-                entry = edges[key] = (curve.length, None)
+                entry = edges[key] = (self.curve(key).length, None)
             total += entry[0]
         return total
 
@@ -146,34 +158,72 @@ def _check_chain(poses: int, radii: int) -> None:
 def evaluate(
     chromosome: Chromosome, scenario: Scenario, exposure_step: float, table: EdgeTable | None = None
 ) -> Fitness:
-    return score(decode(chromosome, scenario), scenario, exposure_step, table)
+    return evaluate_all([chromosome], scenario, exposure_step, table)[0]
+
+
+def evaluate_all(
+    chromosomes, scenario: Scenario, exposure_step: float, table: EdgeTable | None = None
+) -> list[Fitness]:
+    """Fitness of each chromosome's decoded tour, all scored in one pass over ``table``."""
+    return _score_tours((_visits(ch, scenario) for ch in chromosomes), scenario, exposure_step, table)
 
 
 def score(
     plan: TourPlan, scenario: Scenario, exposure_step: float, table: EdgeTable | None = None
 ) -> Fitness:
-    """Reward of the visited locations, then exposure and length of the chained curves.
+    """Reward of the visited locations, then exposure and length of the chained curves."""
+    headings = [pose.theta for pose in plan.poses]
+    return _score_tours([(plan.order, headings, plan.radii)], scenario, exposure_step, table)[0]
 
-    Each curve's length and exposure come from ``table`` (a fresh one when
-    None).  Rewards and lengths are added from 0.0 in tour order, and the
-    exposures summed with ``sum``, as ``build_tour`` and ``exposure`` do.
+
+def _score_tours(tours, scenario: Scenario, exposure_step: float, table: EdgeTable | None):
+    """Fitness of each (order, headings, radii) tour, with curve values from ``table``.
+
+    A scan keys each tour's edges and solves each edge still without an
+    exposure once.  Once the pending curves reach ``sensing.BATCH_PAIRS``
+    point-sensor pairs, at the end of a tour, ``sensing.curve_exposures``
+    integrates them and the tours scanned so far are summed, so memory stays
+    bounded by the budget, not by the number of tours.
     """
     if table is None:
         table = EdgeTable(scenario, exposure_step)
     elif not table.serves(scenario, exposure_step):
         raise ValueError("edge table belongs to another scenario or exposure step")
-    order, poses = plan.order, plan.poses
-    _check_chain(len(poses), len(plan.radii))
-    edges = table.edges
+    field, edges = scenario.field, table.edges
+    fits, scanned, pending, pairs = [], [], {}, 0
+    for order, headings, radii in tours:
+        keys = _edge_keys(order, headings, radii)
+        scanned.append((order, keys))
+        for key in keys:
+            entry = edges.get(key)
+            if (entry is None or entry[1] is None) and key not in pending:
+                curve = pending[key] = table.curve(key)
+                pairs += sensing.quadrature_pairs(field, curve, exposure_step)
+        if pairs >= sensing.BATCH_PAIRS:
+            _integrate(pending, table, exposure_step)
+            fits += [_fitness(order, keys, table) for order, keys in scanned]
+            scanned, pairs = [], 0
+    _integrate(pending, table, exposure_step)
+    return fits + [_fitness(order, keys, table) for order, keys in scanned]
+
+
+def _integrate(pending: dict, table: EdgeTable, step: float) -> None:
+    """Store each pending curve's length and exposure under its key, and empty ``pending``."""
+    values = sensing.curve_exposures(table.scenario.field, list(pending.values()), step)
+    for (key, curve), value in zip(pending.items(), values):
+        table.edges[key] = (curve.length, value)
+    pending.clear()
+
+
+def _fitness(order, keys, table: EdgeTable) -> Fitness:
+    """One tour's fitness from the table, added up as ``build_tour`` and ``exposure`` add.
+
+    Rewards and lengths are added from 0.0 in tour order, exposures with ``sum``.
+    """
     length = 0.0
     exposures = []
-    for k, radius in enumerate(plan.radii):
-        start, end = poses[k], poses[k + 1]
-        key = (order[k], start.theta, order[k + 1], end.theta, radius)
-        entry = edges.get(key)
-        if entry is None or entry[1] is None:
-            curve = geometry.dubins_shortest(start, end, radius)
-            entry = edges[key] = (curve.length, exposure(scenario.field, curve, exposure_step))
+    for key in keys:
+        entry = table.edges[key]
         length += entry[0]
         exposures.append(entry[1])
     reward = 0.0
@@ -272,7 +322,8 @@ def repair_budget(
     elif not table.serves(scenario):
         raise ValueError("edge table belongs to another scenario")
     out = chromosome.copy()
-    length = table.tour_length(out)
+    order, headings, radii = _visits(out, scenario)
+    length = table.tour_length(_edge_keys(order, headings, radii))
     while length > scenario.t_max:
         candidates = _interior_active(out)
         if candidates.size == 0:
@@ -285,15 +336,19 @@ def repair_budget(
             if not scenario.closed:
                 out.thetas[0] = bearing % TWO_PI
                 out.thetas[-1] = bearing % TWO_PI
-            length = table.tour_length(out)
+            length = table.tour_length(_edge_keys(*_visits(out, scenario)))
             if length > scenario.t_max:
                 raise InfeasibleScenarioError(
                     f"direct start-goal leg ({length:.3f} m) exceeds t_max={scenario.t_max}"
                 )
             break
-        drop = candidates[int(rng.integers(candidates.size))]
+        drop = int(candidates[int(rng.integers(candidates.size))])
         out.keys[drop] = -1.0
-        length = table.tour_length(out)
+        # the order stays stably sorted by key without the dropped visit; it
+        # takes its own segment's radius along, or the last segment's if last
+        p = order.index(drop)
+        del order[p], headings[p], radii[min(p, len(radii) - 1)]
+        length = table.tour_length(_edge_keys(order, headings, radii))
     return out
 
 
@@ -584,7 +639,7 @@ def evolve(
             offspring = initialize_population(scenario, params, rng, table)
         else:
             offspring = _variation(pop, key, scenario, params, rng, table)
-        off_fits = [evaluate(ch, scenario, params.exposure_step, table) for ch in offspring]
+        off_fits = evaluate_all(offspring, scenario, params.exposure_step, table)
         evaluations += len(offspring)
         budget_violations += sum(f.length > scenario.t_max + 1e-9 for f in off_fits)
         pop, fits, archive, key = survive(

@@ -2,7 +2,8 @@
 
 The oracles deliberately re-derive results through different routes than
 the main code paths: tangent-circle geometry for curve lengths, a
-closed-form integral for exposure, brute-force pairwise dominance for
+closed-form integral for exposure, one curve at a time for the batched
+exposure quadrature, brute-force pairwise dominance for
 front sorting, and series-evaluated Bessel functions for the circular
 sampler.  Each ``check_*(n, seed) -> (ok, detail)`` at the end compares
 the main path with one of them; ``stealthtour oracle`` and the acceptance
@@ -16,10 +17,10 @@ import math
 import numpy as np
 
 from .evolution import plan_from_tour, sample_von_mises, score
-from .geometry import Pose, TWO_PI, dubins_shortest, path_end
+from .geometry import DubinsPath, Pose, TWO_PI, dubins_shortest, path_end, sample_many
 from .pareto import Fitness, non_dominated_sort
 from .scenario import Scenario, TargetLocation
-from .sensing import SensorField
+from .sensing import SensorField, intensity_many
 
 # --- tangent-circle construction of individual curve families -------------
 
@@ -139,6 +140,24 @@ def family_oracle_length(start: Pose, end: Pose, rho: float, family: str) -> flo
 def straight_exposure_closed_form(alpha: float, lateral: float, t0: float, t1: float) -> float:
     """Integral of alpha / (lateral^2 + t^2) dt from t0 to t1 (no cap active)."""
     return alpha / lateral * (math.atan(t1 / lateral) - math.atan(t0 / lateral))
+
+
+# --- per-curve composite Simpson exposure ---------------------------------
+
+
+def simpson_curve_exposure(field: SensorField, curve: DubinsPath, step: float) -> float:
+    """Simpson exposure of one curve alone: ``sensing.curve_exposures`` must equal it bit for bit."""
+    if curve.length <= 0.0 or not field.nodes:
+        return 0.0
+    n = 2 * max(1, math.ceil(curve.length / (2.0 * step)))
+    s = np.linspace(0.0, curve.length, n + 1)
+    xs, ys, _ = sample_many(curve, s)
+    vals = intensity_many(field, xs, ys)
+    h = curve.length / n
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float(h / 3.0 * np.dot(weights, vals))
 
 
 # --- brute-force dominance classification ---------------------------------

@@ -292,3 +292,5 @@ class SolverParams:
             raise ValueError("selection must be reference-point or crowding-distance")
         if not 0.0 < self.exposure_step < math.inf:
             raise ValueError("exposure_step must be finite and positive")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError("seed must be >= 0")

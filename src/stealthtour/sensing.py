@@ -3,7 +3,7 @@
 A node senses a point with strength alpha / distance**mu, clamped at
 ``cap`` so the integrand stays bounded at the node position.  Exposure is
 the arc-length integral of the summed intensity along a tour, computed by
-composite Simpson quadrature per curve.
+composite Simpson quadrature per curve, many curves per numpy pass.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CompositePath, DubinsPath, sample_many
+from .geometry import CompositePath, DubinsPath, positions_many
 
 # Largest magnitude of a coordinate, a budget or a turning radius, in metres;
 # the smallest radius is its inverse.  Within these the Dubins solver's squared
@@ -24,6 +24,11 @@ WORKSPACE_BOUND = 1e9
 # keep each float temporary near 80 MB.  The builtin instances need at most
 # about 26,000 (a 120 m curve at step 0.05 past 11 sensors).
 MAX_QUADRATURE_PAIRS = 10_000_000
+
+# Point-sensor pairs integrated in one pass.  Below a few thousand, numpy's
+# per-call cost dominates a coarse step's ~20 points per curve; far above it,
+# the pass's float temporaries (a few per pair) add to the peak memory.
+BATCH_PAIRS = 1 << 15
 
 
 class QuadratureTooLargeError(ValueError):
@@ -69,40 +74,86 @@ def intensity_many(field: SensorField, xs: np.ndarray, ys: np.ndarray) -> np.nda
     if not field.nodes:
         return np.zeros_like(xs)
     nodes = field.node_array()
-    dx = xs[:, None] - nodes[None, :, 0]
+    vals = xs[:, None] - nodes[None, :, 0]
     dy = ys[:, None] - nodes[None, :, 1]
-    dist = np.hypot(dx, dy)
+    # alpha / hypot(dx, dy)**mu clamped at cap, computed in place in one buffer
+    np.hypot(vals, dy, out=vals)
+    vals **= field.mu
     with np.errstate(divide="ignore"):
-        vals = field.alpha / dist**field.mu
-    return np.minimum(vals, field.cap).sum(axis=1)
+        np.divide(field.alpha, vals, out=vals)
+    np.minimum(vals, field.cap, out=vals)
+    return vals.sum(axis=1)
 
 
-def _simpson_curve(field: SensorField, curve: DubinsPath, step: float) -> float:
-    if curve.length <= 0.0:
-        return 0.0
+def quadrature_pairs(field: SensorField, curve: DubinsPath, step: float) -> int:
+    """(Simpson point, sensor) pairs of one curve's exposure at spacing <= step.
+
+    Zero for a curve without length or a field without sensors, whose exposure
+    is 0.0.  Raises ``QuadratureTooLargeError``, before anything is allocated,
+    for a curve that would take more than ``MAX_QUADRATURE_PAIRS``.
+    """
+    if not step > 0.0:
+        raise ValueError("step must be positive")
+    sensors = len(field.nodes)
+    if curve.length <= 0.0 or not sensors:
+        return 0
     points = curve.length / step  # a float, so a huge count cannot overflow
-    if points * max(1, len(field.nodes)) > MAX_QUADRATURE_PAIRS:
+    if points * sensors > MAX_QUADRATURE_PAIRS:
         raise QuadratureTooLargeError(
             f"a {curve.length:.6g} m curve at exposure step {step:g} needs about {points:.3g} "
-            f"quadrature points for each of {len(field.nodes)} sensors, more than "
+            f"quadrature points for each of {sensors} sensors, more than "
             f"{MAX_QUADRATURE_PAIRS:g} point-sensor pairs"
         )
-    n = 2 * max(1, math.ceil(curve.length / (2.0 * step)))
-    s = np.linspace(0.0, curve.length, n + 1)
-    xs, ys, _ = sample_many(curve, s)
-    vals = intensity_many(field, xs, ys)
-    h = curve.length / n
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(weights, vals))
+    return (2 * max(1, math.ceil(curve.length / (2.0 * step))) + 1) * sensors
+
+
+def curve_exposures(field: SensorField, curves, step: float) -> list[float]:
+    """Composite Simpson exposure of each curve, many curves sampled and sensed per pass.
+
+    Curves go in runs of at least ``BATCH_PAIRS`` point-sensor pairs (the last
+    run may be shorter).  Every curve is checked against the quadrature bound
+    before any run starts, and every value is bit-identical to integrating its
+    curve alone with ``np.linspace``, ``geometry.sample_many`` and one
+    ``np.dot``, the route kept in ``oracles.simpson_curve_exposure``.
+    """
+    pairs = [quadrature_pairs(field, c, step) for c in curves]
+    runs, run_pairs = [[]], 0
+    for k, p in enumerate(pairs):
+        if not p:
+            continue
+        if run_pairs >= BATCH_PAIRS:
+            runs.append([])
+            run_pairs = 0
+        runs[-1].append(k)
+        run_pairs += p
+    values = [0.0] * len(curves)
+    for run in filter(None, runs):
+        for k, v in zip(run, _simpson_run(field, [curves[k] for k in run], step)):
+            values[k] = v
+    return values
+
+
+def _simpson_run(field: SensorField, curves, step: float) -> list[float]:
+    """Simpson exposure of curves of positive length, all sampled and sensed at once."""
+    length = np.array([cv.length for cv in curves])
+    n = 2 * np.maximum(1, np.ceil(length / (2.0 * step)).astype(np.int64))
+    first = np.cumsum(n + 1) - (n + 1)
+    last = first + n
+    i = np.arange(int(last[-1]) + 1) - np.repeat(first, n + 1)
+    # arc lengths as np.linspace(0, length, n + 1) gives them: i * (length / n),
+    # then the end itself (its other branch, for length / n == 0, only runs
+    # for a length of one subnormal unit, and gives the same points)
+    h = length / n
+    s = i * np.repeat(h, n + 1)
+    s[last] = length
+    vals = intensity_many(field, *positions_many(curves, s, n + 1))
+    weights = np.where(i % 2 == 1, 4.0, 2.0)
+    weights[first] = weights[last] = 1.0
+    dots = [np.dot(weights[a:b], vals[a:b]) for a, b in zip(first.tolist(), (last + 1).tolist())]
+    return (h / 3.0 * np.array(dots)).tolist()
 
 
 def exposure(field: SensorField, path: CompositePath | DubinsPath, step: float) -> float:
     """Integral of field intensity along the path, sampled at spacing <= step."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if not field.nodes:
-        return 0.0
     curves = path.curves if isinstance(path, CompositePath) else (path,)
-    return sum(_simpson_curve(field, c, step) for c in curves)
+    return sum(curve_exposures(field, curves, step))

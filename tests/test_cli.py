@@ -51,6 +51,7 @@ def test_solve_infeasible_budget_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--population", "0"), ("--exposure-step", "-1"), ("--exposure-step", "nan"), ("--kappa", "nan"),
+    ("--seed", "-1"),
 ])
 def test_solve_bad_parameter_exits_one(tmp_path, capsys, flag, value):
     rc = main(["solve", *SMALL_RUN, flag, value, "--out-dir", str(tmp_path)])
@@ -339,6 +340,13 @@ def test_oracle_sample_size_below_one_exits_two(capsys, n):
         main(["oracle", "--check", "dubins-endpoint", "--n", n])
     assert exc.value.code == 2
     assert "not a positive integer" in capsys.readouterr().err
+
+
+def test_oracle_negative_seed_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--check", "dominance", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "not a non-negative integer" in capsys.readouterr().err
 
 
 def test_oracle_failing_check_prints_fail_and_exits_one(monkeypatch, capsys):

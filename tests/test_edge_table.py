@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stealthtour import sensing
 from stealthtour.evolution import (
-    Chromosome, EdgeTable, decode, decoded_tour, evaluate, repair_budget,
+    Chromosome, EdgeTable, decode, decoded_tour, evaluate, evaluate_all, repair_budget,
 )
 from stealthtour.geometry import build_tour
 from stealthtour.pareto import Fitness
@@ -81,6 +82,23 @@ def test_shared_table_matches_direct_rebuild(name, seed, ops):
         assert warm.equals(cold) and warm.equals(rebuild_repair(pool[i], sc, rngs[2]))
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
         assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([1, 3000, sensing.BATCH_PAIRS]))
+def test_evaluate_all_equals_one_at_a_time(name, seed, batch):
+    sc = SCENARIOS[name]
+    pool = chromosome_pool(sc, seed)
+    one_at_a_time = [evaluate(ch, sc, STEP) for ch in pool]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sensing, "BATCH_PAIRS", batch)
+        assert evaluate_all(pool, sc, STEP) == one_at_a_time
+        # a shared table holding some lengths from repair, then every exposure
+        table = EdgeTable(sc, STEP)
+        repair_budget(pool[0], sc, np.random.default_rng(seed), table)
+        assert evaluate_all(pool, sc, STEP, table) == one_at_a_time
+        assert evaluate_all(pool, sc, STEP, table) == one_at_a_time
 
 
 def test_table_refuses_another_scenario_or_step():

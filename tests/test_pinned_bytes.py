@@ -31,6 +31,11 @@ CONFIGS = {
     "cross-1-reference-point-gen-0": CROSS_1[:-1] + ["0"],
     "cross-1-crowding-distance-gen-0": CROSS_1[:-1] + ["0", "--selection", "crowding-distance"],
     "cross-1-single-objective-gen-0": CROSS_1[:-1] + ["0", "--single-objective"],
+    # at step 1.0 a generation of 200 holds several batches of new curves, so
+    # exposures are integrated part-way through a generation's scoring
+    "cross-1-coarse-wide": CROSS_1[:-4] + ["--population", "200", "--generations", "2",
+                                           "--selection", "crowding-distance",
+                                           "--exposure-step", "1.0"],
 }
 
 # (front.csv, report.json without duration_seconds)
@@ -62,6 +67,9 @@ PINNED = {
     "cross-1-single-objective-gen-0": (
         "bfc119f192acd674f362d55feec2801101b56fc2428189649ec10d2797746684",
         "aaee150a3dddb21e98f2a7f60248f8214c99cfa8aadf7a51632a68ca70a3155c"),
+    "cross-1-coarse-wide": (
+        "0eb8a0e305a41b1793feade1dbcdc87939465b0b87153b08d66d92c40c7ff47a",
+        "0de11565f76e11791d0fd7cdb7cb962aa3e23e0ffbf2df84f79d949cf36b7dcd"),
 }
 
 

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stealthtour import sensing
-from stealthtour.geometry import Pose, build_tour
-from stealthtour.oracles import straight_exposure_closed_form
+from stealthtour.geometry import Pose, build_tour, dubins_shortest
+from stealthtour.oracles import simpson_curve_exposure, straight_exposure_closed_form
+from stealthtour.scenario import generate_instance
 from stealthtour.sensing import (
     QuadratureTooLargeError,
     SensorField,
+    curve_exposures,
     exposure,
     field_intensity,
     intensity_many,
@@ -98,6 +102,11 @@ def test_exposure_sample_count_is_bounded(monkeypatch):
     three = SensorField(nodes=((0.0, 1.0), (0.0, 2.0), (0.0, 3.0)), alpha=50.0, mu=2.0, cap=30.0)
     with pytest.raises(QuadratureTooLargeError, match="each of 3 sensors"):
         exposure(three, straight(-10, 10), 0.05)
+    # a batch is refused as a whole, before any curve of it is integrated
+    monkeypatch.setattr(sensing, "_simpson_run", None)
+    short, long = straight(-1, 1).curves[0], straight(-10, 10).curves[0]
+    with pytest.raises(QuadratureTooLargeError, match="point-sensor pairs"):
+        curve_exposures(three, [short, long], 0.05)
 
 
 def test_exposure_matches_arctan_closed_form():
@@ -141,3 +150,33 @@ def test_exposure_bounded_by_cap_times_length(cross, rng):
     got = exposure(cross.field, tour, 0.05)
     bound = cross.field.cap * len(cross.field.nodes) * tour.total_length
     assert 0.0 <= got <= bound
+
+
+FIELDS = {"cross": generate_instance("cross", 7).field, "grid": generate_instance("grid", 7).field}
+coordinate = st.floats(-5.0, 35.0)
+heading = st.floats(0.0, 6.3)
+pose = st.builds(Pose, coordinate, coordinate, heading)
+# (start, end or None for a zero-length curve, radius)
+curve_spec = st.tuples(pose, st.one_of(st.none(), pose), st.floats(0.5, 4.0))
+
+
+@settings(deadline=None)
+@given(field=st.sampled_from(sorted(FIELDS)), specs=st.lists(curve_spec, max_size=30),
+       step=st.floats(0.03, 3.0), batch=st.sampled_from([1, 3000, sensing.BATCH_PAIRS]))
+def test_curve_exposures_equal_one_curve_at_a_time(field, specs, step, batch):
+    field = FIELDS[field]
+    curves = [dubins_shortest(a, a if b is None else b, r) for a, b, r in specs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sensing, "BATCH_PAIRS", batch)
+        got = curve_exposures(field, curves, step)
+    assert got == [simpson_curve_exposure(field, c, step) for c in curves]
+
+
+def test_curve_exposures_place_samples_as_sample_many_when_segment_ends_round_past_length():
+    # the first two segment lengths add up to more than the curve's length, so
+    # the last sample's segment comes from sample_many's searchsorted, not a count
+    curve = dubins_shortest(Pose(24.0, 8.0, 0.0), Pose(20.0, 5.0, math.pi), 1.5)
+    assert curve.seg_params[0] + curve.seg_params[1] > curve.length
+    for step in (0.05, 0.3, 1.0):
+        assert curve_exposures(FIELDS["cross"], [curve], step) == [
+            simpson_curve_exposure(FIELDS["cross"], curve, step)]
