@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -43,6 +44,21 @@ def _front_member(report, index: int):
     if not 0 <= index < len(front):
         raise ScenarioError(f"index {index} out of range (front size {len(front)})")
     return front[index]
+
+
+def _stored_fitness(member) -> Fitness:
+    """The (reward, exposure, length) of a stored front member, each a finite number."""
+    values = []
+    for name in Fitness._fields:
+        value = member[name]
+        try:
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int beyond float range
+            ok = False
+        if not ok:
+            raise ScenarioError(f"front member: {name} {value!r} is not a finite number")
+        values.append(float(value))
+    return Fitness(*values)
 
 
 def _plot_indices(spec: str | None) -> list[int] | None:
@@ -202,10 +218,11 @@ def cmd_plot(args) -> int:
         sol = _front_member(report, args.index)
         sc = scenario_from_dict(report["scenario"])
         plan = plan_from_tour(sc, *_stored_tour(sol))
-        fit = Fitness(sol["reward"], sol["exposure"], sol["length"])
+        fit = _stored_fitness(sol)
         svg = render_solution_svg(sc, list(plan.poses), list(plan.radii), fit)
         Path(args.out).write_text(svg)
-    except (ScenarioError, OSError, KeyError, json.JSONDecodeError) as exc:
+    # ValueError: ScenarioError, bad JSON or bad UTF-8; RecursionError: JSON nested too deep
+    except (ValueError, OSError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {args.out}")

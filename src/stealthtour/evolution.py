@@ -8,9 +8,10 @@ the tour fits the travel budget.  ``evolve`` runs one generational step
 for every generation, the initial population included: score the
 offspring, then survive.  ``_pareto_survivors`` selects NSGA-style, with
 either reference-point niching or crowding distance, and keeps an elitist
-archive of the best (reward, exposure) front seen so far;
-``_best_survivors`` is the single-objective baseline, which ranks by reward
-and keeps the one best tour.  Scoring and repair read each Dubins curve's
+archive of the best (reward, exposure) front seen so far, sorted by fitness
+and updated by bisection; ``_best_survivors`` is the single-objective
+baseline, which ranks by reward and keeps the one best tour.  Only the final
+archive is decoded into plans.  Scoring and repair read each Dubins curve's
 length and exposure from a per-run ``EdgeTable``; ``evaluate_all`` scores a
 whole generation in one pass, integrating its new curves' exposures in
 batches.
@@ -19,14 +20,17 @@ batches.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry, sensing
 from .geometry import Pose, build_tour, CompositePath, DubinsPath
 from .pareto import Fitness, crowding_distance, dominates, hypervolume_2d, non_dominated_sort
-from .scenario import Scenario, ScenarioError, SolverParams
+from .scenario import KAPPA_RANGE, Scenario, ScenarioError, SolverParams
 from .sensing import exposure  # noqa: F401  (a name perfbench/tracing.py wraps)
 
 TWO_PI = 2.0 * math.pi
@@ -68,11 +72,12 @@ class TourPlan:
 def _visits(chromosome: Chromosome, scenario: Scenario) -> tuple[list, list, list]:
     """Visit order, per-visit headings and per-segment radii of the decoded tour.
 
-    The order sorts the active genes by key, headings are taken after the fixed
-    and closed overrides, and a segment's radius is its first visit's gene.
+    The order sorts the active genes by key, ties by index, headings are taken
+    after the fixed and closed overrides, and a segment's radius is its first
+    visit's gene.
     """
-    active = np.flatnonzero(chromosome.keys >= 0.0)
-    order = active[np.argsort(chromosome.keys[active], kind="stable")].tolist()
+    keys = chromosome.keys.tolist()
+    order = sorted([i for i, k in enumerate(keys) if k >= 0.0], key=keys.__getitem__)
     thetas = chromosome.thetas.tolist()
     if scenario.fixed_headings:
         for lid, th in scenario.fixed_headings.items():
@@ -285,9 +290,13 @@ def check_tour(scenario: Scenario, plan: TourPlan, length: float | None = None) 
 
 
 def sample_von_mises(mean: float, kappa: float, rng: np.random.Generator) -> float:
-    """von Mises sample via the Best-Fisher rejection method, in [0, 2*pi)."""
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
+    """von Mises sample via the Best-Fisher rejection method, in [0, 2*pi).
+
+    ``kappa`` must lie in ``KAPPA_RANGE``.
+    """
+    lo, hi = KAPPA_RANGE
+    if not lo <= kappa <= hi:
+        raise ValueError(f"kappa must lie in [{lo:g}, {hi:g}]")
     tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
     rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
     r = (1.0 + rho * rho) / (2.0 * rho)
@@ -306,10 +315,6 @@ def sample_von_mises(mean: float, kappa: float, rng: np.random.Generator) -> flo
     return angle % TWO_PI
 
 
-def _interior_active(chromosome: Chromosome) -> np.ndarray:
-    return np.flatnonzero(chromosome.keys[1:-1] >= 0.0) + 1
-
-
 def repair_budget(
     chromosome: Chromosome,
     scenario: Scenario,
@@ -324,9 +329,10 @@ def repair_budget(
     out = chromosome.copy()
     order, headings, radii = _visits(out, scenario)
     length = table.tour_length(_edge_keys(order, headings, radii))
+    # the active interior genes, ascending: each drop is a uniform pick among them
+    candidates = [i for i, k in enumerate(out.keys[1:-1].tolist(), 1) if k >= 0.0]
     while length > scenario.t_max:
-        candidates = _interior_active(out)
-        if candidates.size == 0:
+        if not candidates:
             # empty tour still over budget: fall back to the cheapest direct
             # leg before declaring the scenario infeasible
             out.rhos[0] = scenario.rho_min
@@ -342,7 +348,7 @@ def repair_budget(
                     f"direct start-goal leg ({length:.3f} m) exceeds t_max={scenario.t_max}"
                 )
             break
-        drop = int(candidates[int(rng.integers(candidates.size))])
+        drop = candidates.pop(int(rng.integers(len(candidates))))
         out.keys[drop] = -1.0
         # the order stays stably sorted by key without the dropped visit; it
         # takes its own segment's radius along, or the last segment's if last
@@ -452,22 +458,60 @@ class EvolveResult:
     evaluations: int = 0
 
 
-def _update_archive(archive: list[Solution], population, fits, scenario) -> list[Solution]:
-    """Insert candidates into the elitist non-dominated archive.
+class _Member(NamedTuple):
+    """An archive entry; ``evolve`` decodes the final archive into ``Solution``s.
 
-    Equal-fitness solutions with distinct decoded tours are both kept;
-    exact (fitness, tour) duplicates collapse to one entry.
+    ``tour`` is (order, headings reduced to [0, 2*pi), radii): two members'
+    tours are equal exactly when their decoded plans are.
+    """
+
+    fitness: Fitness
+    chromosome: Chromosome
+    tour: tuple
+
+
+def _member(chromosome: Chromosome, fitness: Fitness, scenario: Scenario) -> _Member:
+    order, headings, radii = _visits(chromosome, scenario)
+    tour = (order, [th % TWO_PI for th in headings], radii)
+    return _Member(fitness, chromosome.copy(), tour)
+
+
+# sort keys of archive members
+_by_reward = attrgetter("fitness.reward")
+_by_exposure = attrgetter("fitness.exposure")
+_by_fitness = attrgetter("fitness")
+
+
+def _update_archive(archive: list[_Member], population, fits, scenario) -> list[_Member]:
+    """Insert candidates into the elitist non-dominated archive, kept sorted by fitness.
+
+    Along a non-dominated set sorted by reward, exposure rises strictly with
+    reward and members of equal reward share one exposure (Kung, Luccio &
+    Preparata, J. ACM 1975).  So only the first member with at least a
+    candidate's reward can dominate it, and the members the candidate
+    dominates are the run just below that member whose exposure is at least
+    its own, plus that member's reward group if its exposure is higher.
+    Equal-fitness members with distinct tours are both kept; exact (fitness,
+    tour) duplicates collapse to the first.  A candidate goes after the
+    members of equal fitness, where a stable sort of the arrivals puts it.
     """
     kept = list(archive)
     for ch, fit in zip(population, fits):
-        if any(dominates(s.fitness, fit) for s in kept):
+        lo = bisect_left(kept, fit.reward, key=_by_reward)
+        above = kept[lo].fitness if lo < len(kept) else None
+        if above is not None and dominates(above, fit):
             continue
-        kept = [s for s in kept if not dominates(fit, s.fitness)]
-        plan = decode(ch, scenario)
-        if any(s.fitness == fit and s.plan == plan for s in kept):
+        start = bisect_left(kept, fit.exposure, 0, lo, key=_by_exposure)
+        stop = lo
+        if above is not None and above.reward == fit.reward and above.exposure > fit.exposure:
+            stop = bisect_right(kept, fit.reward, lo, key=_by_reward)
+        del kept[start:stop]
+        first = bisect_left(kept, fit, key=_by_fitness)
+        end = bisect_right(kept, fit, first, key=_by_fitness)
+        member = _member(ch, fit, scenario)
+        if any(m.tour == member.tour for m in kept[first:end]):
             continue
-        kept.append(Solution(ch.copy(), fit, plan))
-    kept.sort(key=lambda s: (s.fitness.reward, s.fitness.exposure, s.fitness.length))
+        kept.insert(end, member)
     return kept
 
 
@@ -488,24 +532,29 @@ def _associate(norm_objs: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _niche_select(last_front, need, assoc, dist, counts, rng):
-    """Deb-style niching over the partial front; returns chosen indices."""
+    """Deb-style niching over the partial front; returns chosen indices.
+
+    ``counts`` is updated in place with the picks.
+    """
     chosen = []
     members: dict[int, list[int]] = {}
     for i in last_front:
         members.setdefault(int(assoc[i]), []).append(i)
+    niche_counts, dist = counts.tolist(), dist.tolist()
     while len(chosen) < need:
         refs = [j for j, mem in members.items() if mem]
-        min_count = min(counts[j] for j in refs)
-        tied = [j for j in refs if counts[j] == min_count]
+        min_count = min(niche_counts[j] for j in refs)
+        tied = [j for j in refs if niche_counts[j] == min_count]
         j = tied[int(rng.integers(len(tied)))]
         mem = members[j]
-        if counts[j] == 0:
+        if niche_counts[j] == 0:
             pick = min(mem, key=lambda i: (dist[i], i))
         else:
             pick = mem[int(rng.integers(len(mem)))]
         mem.remove(pick)
-        counts[j] += 1
+        niche_counts[j] += 1
         chosen.append(pick)
+    counts[:] = niche_counts
     return chosen
 
 
@@ -586,7 +635,7 @@ def _best_survivors(pop, fits, offspring, off_fits, archive, scenario, params, r
     order = sorted(range(len(merged)), key=lambda i: rank(merged_fits[i]))[: params.population_size]
     pop, fits = [merged[i] for i in order], [merged_fits[i] for i in order]
     if not archive or rank(fits[0]) < rank(archive[0].fitness):
-        archive = [Solution(pop[0].copy(), fits[0], decode(pop[0], scenario))]
+        archive = [_member(pop[0], fits[0], scenario)]
     return pop, fits, archive, lambda i: (-fits[i].reward,)
 
 
@@ -646,7 +695,7 @@ def evolve(
             pop, fits, offspring, off_fits, archive, scenario, params, rng
         )
 
-        front_fits = [s.fitness for s in archive]
+        front_fits = [m.fitness for m in archive]
         # with several sensors a tour can be more exposed than cap * t_max; such
         # points lie outside the reference box and add no area
         hv = hypervolume_2d([f for f in front_fits if f.exposure <= ref_point[1]], ref_point)
@@ -659,7 +708,7 @@ def evolve(
         ))
 
     return EvolveResult(
-        front=list(archive),
+        front=[Solution(m.chromosome, m.fitness, decode(m.chromosome, scenario)) for m in archive],
         stats=stats,
         budget_violations=budget_violations,
         evaluations=evaluations,

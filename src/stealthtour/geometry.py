@@ -18,7 +18,7 @@ TWO_PI = 2.0 * math.pi
 FAMILIES = ("LSL", "RSR", "LSR", "RSL", "RLR", "LRL")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pose:
     """Planar position plus heading; heading is normalized on construction."""
 
@@ -26,8 +26,15 @@ class Pose:
     y: float
     theta: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", self.theta % TWO_PI)
+    # Written out because the generated frozen __init__ plus a __post_init__
+    # takes twice as long, and each Dubins curve solved builds two poses.
+    def __init__(self, x: float, y: float, theta: float):
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
+        _setattr(self, "theta", theta % TWO_PI)
+
+
+_setattr = object.__setattr__  # what a frozen dataclass sets its fields with
 
 
 @dataclass(frozen=True)
@@ -53,72 +60,17 @@ class CompositePath:
     total_length: float
 
 
-# --- family solvers -------------------------------------------------------
-#
-# Each solver works in normalized coordinates: d = distance / radius,
-# a / b are start / end headings relative to the connecting segment.
-# They return (t, p, q) in normalized units, or None when infeasible.
-
-
-def _lsl(a, b, d):
-    p_sq = 2.0 + d * d - 2.0 * math.cos(a - b) + 2.0 * d * (math.sin(a) - math.sin(b))
-    if p_sq < 0.0:
-        return None
-    tmp = math.atan2(math.cos(b) - math.cos(a), d + math.sin(a) - math.sin(b))
-    return (-a + tmp) % TWO_PI, math.sqrt(p_sq), (b - tmp) % TWO_PI
-
-
-def _rsr(a, b, d):
-    p_sq = 2.0 + d * d - 2.0 * math.cos(a - b) + 2.0 * d * (math.sin(b) - math.sin(a))
-    if p_sq < 0.0:
-        return None
-    tmp = math.atan2(math.cos(a) - math.cos(b), d - math.sin(a) + math.sin(b))
-    return (a - tmp) % TWO_PI, math.sqrt(p_sq), (tmp - b) % TWO_PI
-
-
-def _lsr(a, b, d):
-    p_sq = -2.0 + d * d + 2.0 * math.cos(a - b) + 2.0 * d * (math.sin(a) + math.sin(b))
-    if p_sq < 0.0:
-        return None
-    p = math.sqrt(p_sq)
-    tmp = math.atan2(-math.cos(a) - math.cos(b), d + math.sin(a) + math.sin(b)) - math.atan2(-2.0, p)
-    return (-a + tmp) % TWO_PI, p, (-b + tmp) % TWO_PI
-
-
-def _rsl(a, b, d):
-    p_sq = -2.0 + d * d + 2.0 * math.cos(a - b) - 2.0 * d * (math.sin(a) + math.sin(b))
-    if p_sq < 0.0:
-        return None
-    p = math.sqrt(p_sq)
-    tmp = math.atan2(math.cos(a) + math.cos(b), d - math.sin(a) - math.sin(b)) - math.atan2(2.0, p)
-    return (a - tmp) % TWO_PI, p, (b - tmp) % TWO_PI
-
-
-def _rlr(a, b, d):
-    tmp = (6.0 - d * d + 2.0 * math.cos(a - b) + 2.0 * d * (math.sin(a) - math.sin(b))) / 8.0
-    if abs(tmp) > 1.0:
-        return None
-    p = (TWO_PI - math.acos(tmp)) % TWO_PI
-    phi = math.atan2(math.cos(a) - math.cos(b), d - math.sin(a) + math.sin(b))
-    t = (a - phi + p / 2.0) % TWO_PI
-    return t, p, (a - b - t + p) % TWO_PI
-
-
-def _lrl(a, b, d):
-    tmp = (6.0 - d * d + 2.0 * math.cos(a - b) + 2.0 * d * (math.sin(b) - math.sin(a))) / 8.0
-    if abs(tmp) > 1.0:
-        return None
-    p = (TWO_PI - math.acos(tmp)) % TWO_PI
-    phi = math.atan2(math.cos(a) - math.cos(b), d + math.sin(a) - math.sin(b))
-    t = (-a - phi + p / 2.0) % TWO_PI
-    return t, p, (b - a - t + p) % TWO_PI
-
-
-_SOLVERS = dict(zip(FAMILIES, (_lsl, _rsr, _lsr, _rsl, _rlr, _lrl)))
-
-
 def dubins_shortest(start: Pose, end: Pose, radius: float) -> DubinsPath:
-    """Minimum-length curve over all feasible families for this pose pair."""
+    """Minimum-length curve over all feasible families for this pose pair.
+
+    The six families are solved in ``FAMILIES`` order from one set of sines and
+    cosines, in normalized coordinates: d = distance / radius, and a / b are the
+    start / end headings relative to the connecting segment.  Each family's
+    (t, p, q) uses the expressions of ``oracles.dubins_shortest_reference``,
+    and the first family with the least t + p + q wins.  Since t, q >= 0, a
+    family whose p alone reaches the best total cannot win, and its turns are
+    skipped.
+    """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if start.x == end.x and start.y == end.y and start.theta == end.theta:
@@ -129,22 +81,57 @@ def dubins_shortest(start: Pose, end: Pose, radius: float) -> DubinsPath:
     phi = math.atan2(dy, dx)
     a = (start.theta - phi) % TWO_PI
     b = (end.theta - phi) % TWO_PI
+    sa, ca, sb, cb = math.sin(a), math.cos(a), math.sin(b), math.cos(b)
+    cab = math.cos(a - b)
+    dd = d * d
 
-    best_family = None
     best = None
     best_len = math.inf
-    for family in FAMILIES:
-        res = _SOLVERS[family](a, b, d)
-        if res is None:
-            continue
-        total = sum(res)
-        if total < best_len:
-            best_len = total
-            best = res
-            best_family = family
+    # LSL
+    p_sq = 2.0 + dd - 2.0 * cab + 2.0 * d * (sa - sb)
+    if p_sq >= 0.0 and (p := math.sqrt(p_sq)) < best_len:
+        tmp = math.atan2(cb - ca, d + sa - sb)
+        t, q = (-a + tmp) % TWO_PI, (b - tmp) % TWO_PI
+        if (total := t + p + q) < best_len:
+            best_len, best = total, ("LSL", t, p, q)
+    # RSR
+    p_sq = 2.0 + dd - 2.0 * cab + 2.0 * d * (sb - sa)
+    if p_sq >= 0.0 and (p := math.sqrt(p_sq)) < best_len:
+        tmp = math.atan2(ca - cb, d - sa + sb)
+        t, q = (a - tmp) % TWO_PI, (tmp - b) % TWO_PI
+        if (total := t + p + q) < best_len:
+            best_len, best = total, ("RSR", t, p, q)
+    # LSR
+    p_sq = -2.0 + dd + 2.0 * cab + 2.0 * d * (sa + sb)
+    if p_sq >= 0.0 and (p := math.sqrt(p_sq)) < best_len:
+        tmp = math.atan2(-ca - cb, d + sa + sb) - math.atan2(-2.0, p)
+        t, q = (-a + tmp) % TWO_PI, (-b + tmp) % TWO_PI
+        if (total := t + p + q) < best_len:
+            best_len, best = total, ("LSR", t, p, q)
+    # RSL
+    p_sq = -2.0 + dd + 2.0 * cab - 2.0 * d * (sa + sb)
+    if p_sq >= 0.0 and (p := math.sqrt(p_sq)) < best_len:
+        tmp = math.atan2(ca + cb, d - sa - sb) - math.atan2(2.0, p)
+        t, q = (a - tmp) % TWO_PI, (b - tmp) % TWO_PI
+        if (total := t + p + q) < best_len:
+            best_len, best = total, ("RSL", t, p, q)
+    # RLR
+    tmp = (6.0 - dd + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
+    if abs(tmp) <= 1.0 and (p := (TWO_PI - math.acos(tmp)) % TWO_PI) < best_len:
+        t = (a - math.atan2(ca - cb, d - sa + sb) + p / 2.0) % TWO_PI
+        q = (a - b - t + p) % TWO_PI
+        if (total := t + p + q) < best_len:
+            best_len, best = total, ("RLR", t, p, q)
+    # LRL
+    tmp = (6.0 - dd + 2.0 * cab + 2.0 * d * (sb - sa)) / 8.0
+    if abs(tmp) <= 1.0 and (p := (TWO_PI - math.acos(tmp)) % TWO_PI) < best_len:
+        t = (-a - math.atan2(ca - cb, d + sa - sb) + p / 2.0) % TWO_PI
+        q = (b - a - t + p) % TWO_PI
+        if (total := t + p + q) < best_len:
+            best_len, best = total, ("LRL", t, p, q)
     assert best is not None  # at least one CSC family always exists
-    seg = tuple(v * radius for v in best)
-    return DubinsPath(best_family, radius, seg, start, best_len * radius)
+    family, t, p, q = best
+    return DubinsPath(family, radius, (t * radius, p * radius, q * radius), start, best_len * radius)
 
 
 def path_length(path: DubinsPath | CompositePath) -> float:

@@ -1,13 +1,14 @@
 """Independent verification oracles, and the checks that hold the main path to them.
 
 The oracles deliberately re-derive results through different routes than
-the main code paths: tangent-circle geometry for curve lengths, a
-closed-form integral for exposure, one curve at a time for the batched
-exposure quadrature, brute-force pairwise dominance for
-front sorting, and series-evaluated Bessel functions for the circular
-sampler.  Each ``check_*(n, seed) -> (ok, detail)`` at the end compares
-the main path with one of them; ``stealthtour oracle`` and the acceptance
-criteria run the same checks.  The main path never imports this module.
+the main code paths: one solver per family for the shortest Dubins curve,
+tangent-circle geometry for curve lengths, a closed-form integral for
+exposure, one curve at a time for the batched exposure quadrature,
+brute-force pairwise dominance for front sorting and for the archive, and
+series-evaluated Bessel functions for the circular sampler.  Each
+``check_*(n, seed) -> (ok, detail)`` at the end compares the main path with
+one of them; ``stealthtour oracle`` and the acceptance criteria run the same
+checks.  The main path never imports this module.
 """
 
 from __future__ import annotations
@@ -16,11 +17,127 @@ import math
 
 import numpy as np
 
-from .evolution import plan_from_tour, sample_von_mises, score
-from .geometry import DubinsPath, Pose, TWO_PI, dubins_shortest, path_end, sample_many
-from .pareto import Fitness, non_dominated_sort
+from .evolution import Solution, decode, plan_from_tour, sample_von_mises, score
+from .geometry import FAMILIES, DubinsPath, Pose, TWO_PI, dubins_shortest, path_end, sample_many
+from .pareto import Fitness, dominates, non_dominated_sort
 from .scenario import Scenario, TargetLocation
 from .sensing import SensorField, intensity_many
+
+# --- one solver per Dubins family ----------------------------------------
+#
+# Each solver works in normalized coordinates: d = distance / radius,
+# a / b are start / end headings relative to the connecting segment.
+# They return (t, p, q) in normalized units, or None when infeasible.
+
+
+def _lsl(a, b, d):
+    p_sq = 2.0 + d * d - 2.0 * math.cos(a - b) + 2.0 * d * (math.sin(a) - math.sin(b))
+    if p_sq < 0.0:
+        return None
+    tmp = math.atan2(math.cos(b) - math.cos(a), d + math.sin(a) - math.sin(b))
+    return (-a + tmp) % TWO_PI, math.sqrt(p_sq), (b - tmp) % TWO_PI
+
+
+def _rsr(a, b, d):
+    p_sq = 2.0 + d * d - 2.0 * math.cos(a - b) + 2.0 * d * (math.sin(b) - math.sin(a))
+    if p_sq < 0.0:
+        return None
+    tmp = math.atan2(math.cos(a) - math.cos(b), d - math.sin(a) + math.sin(b))
+    return (a - tmp) % TWO_PI, math.sqrt(p_sq), (tmp - b) % TWO_PI
+
+
+def _lsr(a, b, d):
+    p_sq = -2.0 + d * d + 2.0 * math.cos(a - b) + 2.0 * d * (math.sin(a) + math.sin(b))
+    if p_sq < 0.0:
+        return None
+    p = math.sqrt(p_sq)
+    tmp = math.atan2(-math.cos(a) - math.cos(b), d + math.sin(a) + math.sin(b)) - math.atan2(-2.0, p)
+    return (-a + tmp) % TWO_PI, p, (-b + tmp) % TWO_PI
+
+
+def _rsl(a, b, d):
+    p_sq = -2.0 + d * d + 2.0 * math.cos(a - b) - 2.0 * d * (math.sin(a) + math.sin(b))
+    if p_sq < 0.0:
+        return None
+    p = math.sqrt(p_sq)
+    tmp = math.atan2(math.cos(a) + math.cos(b), d - math.sin(a) - math.sin(b)) - math.atan2(2.0, p)
+    return (a - tmp) % TWO_PI, p, (b - tmp) % TWO_PI
+
+
+def _rlr(a, b, d):
+    tmp = (6.0 - d * d + 2.0 * math.cos(a - b) + 2.0 * d * (math.sin(a) - math.sin(b))) / 8.0
+    if abs(tmp) > 1.0:
+        return None
+    p = (TWO_PI - math.acos(tmp)) % TWO_PI
+    phi = math.atan2(math.cos(a) - math.cos(b), d - math.sin(a) + math.sin(b))
+    t = (a - phi + p / 2.0) % TWO_PI
+    return t, p, (a - b - t + p) % TWO_PI
+
+
+def _lrl(a, b, d):
+    tmp = (6.0 - d * d + 2.0 * math.cos(a - b) + 2.0 * d * (math.sin(b) - math.sin(a))) / 8.0
+    if abs(tmp) > 1.0:
+        return None
+    p = (TWO_PI - math.acos(tmp)) % TWO_PI
+    phi = math.atan2(math.cos(a) - math.cos(b), d + math.sin(a) - math.sin(b))
+    t = (-a - phi + p / 2.0) % TWO_PI
+    return t, p, (b - a - t + p) % TWO_PI
+
+
+_SOLVERS = dict(zip(FAMILIES, (_lsl, _rsr, _lsr, _rsl, _rlr, _lrl)))
+
+
+def dubins_shortest_reference(start: Pose, end: Pose, radius: float) -> DubinsPath:
+    """One solver per family, tried in ``FAMILIES`` order: ``geometry.dubins_shortest`` must equal it."""
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    if start.x == end.x and start.y == end.y and start.theta == end.theta:
+        return DubinsPath("LSL", radius, (0.0, 0.0, 0.0), start, 0.0)
+    dx = end.x - start.x
+    dy = end.y - start.y
+    d = math.hypot(dx, dy) / radius
+    phi = math.atan2(dy, dx)
+    a = (start.theta - phi) % TWO_PI
+    b = (end.theta - phi) % TWO_PI
+
+    best_family = None
+    best = None
+    best_len = math.inf
+    for family in FAMILIES:
+        res = _SOLVERS[family](a, b, d)
+        if res is None:
+            continue
+        total = sum(res)
+        if total < best_len:
+            best_len = total
+            best = res
+            best_family = family
+    assert best is not None  # at least one CSC family always exists
+    seg = tuple(v * radius for v in best)
+    return DubinsPath(best_family, radius, seg, start, best_len * radius)
+
+
+# --- the archive by exhaustive scan ---------------------------------------
+
+
+def update_archive_reference(archive: list[Solution], population, fits, scenario) -> list[Solution]:
+    """The elitist archive by pairwise scan and one stable sort; ``_update_archive`` must match it.
+
+    Equal-fitness solutions with distinct decoded tours are both kept;
+    exact (fitness, tour) duplicates collapse to one entry.
+    """
+    kept = list(archive)
+    for ch, fit in zip(population, fits):
+        if any(dominates(s.fitness, fit) for s in kept):
+            continue
+        kept = [s for s in kept if not dominates(fit, s.fitness)]
+        plan = decode(ch, scenario)
+        if any(s.fitness == fit and s.plan == plan for s in kept):
+            continue
+        kept.append(Solution(ch.copy(), fit, plan))
+    kept.sort(key=lambda s: (s.fitness.reward, s.fitness.exposure, s.fitness.length))
+    return kept
+
 
 # --- tangent-circle construction of individual curve families -------------
 
@@ -253,7 +370,8 @@ def monte_carlo_hypervolume(front: list[Fitness], reference, samples: int, seed:
 
 
 def check_dubins_endpoint(n: int, seed: int):
-    """Shortest curves end on the target pose and beat every family's tangent construction."""
+    """Shortest curves equal the per-family solvers' choice, end on the target pose and beat
+    every family's tangent construction."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
@@ -261,6 +379,8 @@ def check_dubins_endpoint(n: int, seed: int):
         e = Pose(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(0, TWO_PI))
         rho = rng.uniform(0.5, 4.0)
         path = dubins_shortest(s, e, rho)
+        if path != dubins_shortest_reference(s, e, rho):
+            return False, f"curve {path} differs from the per-family solvers' choice"
         got = path_end(path)
         err = max(abs(got.x - e.x), abs(got.y - e.y),
                   abs((got.theta - e.theta + math.pi) % TWO_PI - math.pi))

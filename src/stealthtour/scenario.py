@@ -18,6 +18,13 @@ import numpy as np
 from .sensing import WORKSPACE_BOUND, SensorField
 
 
+# Concentrations the von Mises heading sampler accepts.  Inside this range the
+# Best-Fisher envelope parameters keep their precision; far outside it they
+# round away (rho = 0 below about kappa = 1e-8, r = 1 above about 1e16) or
+# overflow, and the sampler divides by zero, fails or never returns.
+KAPPA_RANGE = (1e-6, 1e6)
+
+
 class ScenarioError(ValueError):
     """Malformed or invariant-violating scenario data."""
 
@@ -286,8 +293,9 @@ class SolverParams:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if not 0.0 < self.von_mises_kappa < math.inf:  # NaN would never leave the sampler
-            raise ValueError("von_mises_kappa must be finite and positive")
+        lo, hi = KAPPA_RANGE
+        if not lo <= self.von_mises_kappa <= hi:  # also NaN, which would never leave the sampler
+            raise ValueError(f"von_mises_kappa must lie in [{lo:g}, {hi:g}]")
         if self.selection not in ("reference-point", "crowding-distance"):
             raise ValueError("selection must be reference-point or crowding-distance")
         if not 0.0 < self.exposure_step < math.inf:

@@ -51,7 +51,7 @@ def test_solve_infeasible_budget_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--population", "0"), ("--exposure-step", "-1"), ("--exposure-step", "nan"), ("--kappa", "nan"),
-    ("--seed", "-1"),
+    ("--kappa", "1e-300"), ("--kappa", "1e300"), ("--seed", "-1"),
 ])
 def test_solve_bad_parameter_exits_one(tmp_path, capsys, flag, value):
     rc = main(["solve", *SMALL_RUN, flag, value, "--out-dir", str(tmp_path)])
@@ -280,6 +280,32 @@ def test_plot_index_out_of_range(tmp_path, capsys):
                "--index", "999", "--out", str(tmp_path / "p.svg")])
     assert rc == 1
     assert "out of range" in capsys.readouterr().err
+
+
+def _spoiled_report(tmp_path, how) -> bytes:
+    run_solve(tmp_path)
+    text = (tmp_path / "report.json").read_text()
+    if how == "bad-utf8":
+        return text.encode() + b"\xff\xfe"
+    if how == "deep-nesting":
+        return b"[" * 100_000 + b"]" * 100_000
+    report = json.loads(text)
+    field, value = how.split("=")
+    report["front"][0][field] = json.loads(value)
+    return json.dumps(report).encode()
+
+
+@pytest.mark.parametrize("how", [
+    "bad-utf8", "deep-nesting", 'reward="abc"', "exposure=null", "length=true", "length=1e400",
+])
+def test_plot_bad_report_exits_one_without_svg(tmp_path, capsys, how):
+    report = tmp_path / "bad.json"
+    report.write_bytes(_spoiled_report(tmp_path, how))
+    out = tmp_path / "p.svg"
+    rc = main(["plot", "--report", str(report), "--index", "0", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_plot_straight_tour_chord_length(tmp_path, capsys):

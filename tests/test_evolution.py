@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import i0e, i1e
 
 from stealthtour.evolution import (
     Chromosome,
@@ -17,10 +20,12 @@ from stealthtour.evolution import (
     mutate,
     repair_budget,
     sample_von_mises,
+    _update_archive,
 )
 from stealthtour.geometry import Pose, dubins_shortest
-from stealthtour.oracles import bessel_i0, bessel_i1
-from stealthtour.scenario import Scenario, SolverParams, TargetLocation
+from stealthtour.oracles import bessel_i0, bessel_i1, update_archive_reference
+from stealthtour.pareto import Fitness
+from stealthtour.scenario import KAPPA_RANGE, Scenario, SolverParams, TargetLocation
 from stealthtour.sensing import SensorField
 
 TWO_PI = 2.0 * math.pi
@@ -178,6 +183,29 @@ def test_von_mises_mean_resultant_length(rng):
     assert math.atan2(s, c) == pytest.approx(0.0, abs=0.02)
 
 
+@pytest.mark.parametrize("kappa", KAPPA_RANGE)
+def test_von_mises_range_corners_terminate_with_bessel_resultant(kappa):
+    rng = np.random.default_rng(11)
+    mean, n = 0.8, 20_000
+    samples = np.array([sample_von_mises(mean, kappa, rng) for _ in range(n)])
+    mrl = math.hypot(np.cos(samples - mean).mean(), np.sin(samples - mean).mean())
+    expected = i1e(kappa) / i0e(kappa)  # I1/I0, scaled so that 1e6 does not overflow
+    if kappa < 1.0:
+        # nearly uniform: a resultant of n uniform angles has n * R^2 ~ Exp(1)
+        assert abs(mrl - expected) < 0.03
+    else:
+        # concentrated: 1 - R is about 1 / (2 kappa), known to about 1 % at this n
+        assert (1.0 - mrl) == pytest.approx(1.0 - expected, rel=0.05)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1e-300, 0.5e-6, 2e6, 1e150, 1e300, math.inf, math.nan])
+def test_von_mises_rejects_kappa_outside_range(rng, kappa):
+    with pytest.raises(ValueError, match="kappa must lie in"):
+        sample_von_mises(0.0, kappa, rng)
+    with pytest.raises(ValueError, match="von_mises_kappa must lie in"):
+        SolverParams(von_mises_kappa=kappa)
+
+
 def test_repair_leaves_feasible_untouched(rng):
     sc = line_scenario(2)
     ch = chromosome([0.0, 0.3, 0.6, 1.0])
@@ -294,3 +322,40 @@ def test_single_objective_reduction_ignores_continuous_genes():
     a = chromosome([0.0, 0.2, 0.8, 1.0], thetas=[0.1, 2.2, 3.3, 4.4], rhos=[1.0] * 4)
     b = chromosome([0.0, 0.3, 0.9, 1.0], thetas=[5.5, 0.7, 1.8, 2.9], rhos=[1.0] * 4)
     assert evaluate(a, sc, 0.05) == evaluate(b, sc, 0.05)
+
+
+# Chromosomes over a 5-location line whose genes come from a few values, each
+# with a twin whose 0.0 headings read 2*pi, so that distinct chromosomes often
+# decode to one tour; and fitnesses on a small integer grid, so that batches
+# are full of equal rewards, equal fitnesses and repeats.
+ARCHIVE_SCENARIO = line_scenario(3)
+GENE_CHROMOSOMES = st.builds(
+    lambda keys, thetas, rhos: chromosome([0.0, *keys, 1.0], thetas, rhos),
+    st.lists(st.sampled_from([-1.0, 0.25, 0.5]), min_size=3, max_size=3),
+    st.lists(st.sampled_from([0.0, 1.0]), min_size=5, max_size=5),
+    st.lists(st.sampled_from([1.0, 2.0]), min_size=5, max_size=5),
+)
+GRID_FITNESS = st.builds(Fitness, *(st.integers(0, hi).map(float) for hi in (2, 2, 1)))
+
+
+def heading_twin(ch):
+    return Chromosome(ch.keys.copy(), np.where(ch.thetas == 0.0, TWO_PI, ch.thetas), ch.rhos.copy())
+
+
+@settings(deadline=None)
+@given(pool=st.lists(GENE_CHROMOSOMES, min_size=1, max_size=4),
+       batches=st.lists(st.lists(st.tuples(st.integers(0, 7), GRID_FITNESS), max_size=12),
+                        min_size=1, max_size=5))
+def test_archive_by_bisection_equals_pairwise_scan(pool, batches):
+    sc = ARCHIVE_SCENARIO
+    pool = pool + [heading_twin(ch) for ch in pool]
+    archive, reference = [], []
+    for batch in batches:
+        population = [pool[i % len(pool)] for i, _ in batch]
+        fits = [fit for _, fit in batch]
+        archive = _update_archive(archive, population, fits, sc)
+        reference = update_archive_reference(reference, population, fits, sc)
+        assert [m.fitness for m in archive] == [s.fitness for s in reference]
+        for member, solution in zip(archive, reference):
+            assert member.chromosome.equals(solution.chromosome)
+            assert decode(member.chromosome, sc) == solution.plan

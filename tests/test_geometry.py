@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stealthtour.geometry import (
     FAMILIES,
@@ -15,7 +17,7 @@ from stealthtour.geometry import (
     sample,
     sample_many,
 )
-from stealthtour.oracles import family_oracle_length
+from stealthtour.oracles import dubins_shortest_reference, family_oracle_length
 from stealthtour.sensing import WORKSPACE_BOUND
 
 TWO_PI = 2.0 * math.pi
@@ -210,3 +212,31 @@ def test_dubins_finds_a_curve_at_the_workspace_bound():
         path = dubins_shortest(Pose(x0, B, th0), Pose(-B, y1, th1), rho)
         assert math.isfinite(path.length)
         assert path.length >= math.dist((x0, B), (-B, y1)) * (1.0 - 1e-12)
+
+
+# poses anywhere the loader admits, on a coarse grid, and at compass headings
+HEADINGS = st.floats(0.0, TWO_PI, exclude_max=True) | st.integers(0, 7).map(lambda k: k * math.pi / 4)
+COORDS = st.sampled_from([
+    st.floats(-1e9, 1e9), st.floats(-10.0, 10.0), st.integers(-4, 4).map(float),
+])
+RADII = st.floats(1e-9, 1e9) | st.floats(0.5, 4.0) | st.sampled_from([1e-9, 1.0, 1e9])
+
+
+@st.composite
+def pose_pairs(draw):
+    xy = draw(COORDS)
+    start = Pose(draw(xy), draw(xy), draw(HEADINGS))
+    end = draw(st.sampled_from(["free", "coincident", "same place", "antiparallel"]))
+    if end == "coincident":
+        return start, Pose(start.x, start.y, start.theta)
+    if end == "same place":
+        return start, Pose(start.x, start.y, draw(HEADINGS))
+    theta = start.theta + math.pi if end == "antiparallel" else draw(HEADINGS)
+    return start, Pose(draw(xy), draw(xy), theta)
+
+
+@settings(deadline=None)
+@given(pair=pose_pairs(), radius=RADII)
+def test_shortest_equals_per_family_reference(pair, radius):
+    start, end = pair
+    assert dubins_shortest(start, end, radius) == dubins_shortest_reference(start, end, radius)
