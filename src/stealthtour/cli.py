@@ -125,11 +125,13 @@ def cmd_solve(args) -> int:
         sc = _load_scenario_from_args(args)
         params = _params_from_args(args)
         plots = _plot_indices(args.plot)
-    except (ValueError, OSError) as exc:  # ScenarioError, or a SolverParams range check
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    # ValueError: ScenarioError or a SolverParams range check; OSError: unreadable
+    # scenario, or an out directory that cannot be made
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     try:
@@ -141,7 +143,16 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     duration = time.perf_counter() - t0
+    try:
+        return _write_solution(out_dir, sc, params, result, duration, plots)
+    except OSError as exc:  # e.g. a directory where an output file should go
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+
+def _write_solution(out_dir: Path, sc: Scenario, params: SolverParams, result, duration: float,
+                    plots: list[int] | None) -> int:
+    """Write front.csv, report.json and the requested plots; 1 for a plot index out of range."""
     lines = ["reward,exposure,length"]
     for sol in result.front:
         f = sol.fitness

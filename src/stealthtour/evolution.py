@@ -27,8 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry, sensing
-from .geometry import Pose, build_tour, CompositePath, DubinsPath
+from . import sensing
+from .geometry import Pose, dubins_solve
+from .geometry import build_tour  # noqa: F401  (a name perfbench/tracing.py wraps)
 from .pareto import Fitness, crowding_distance, dominates, hypervolume_2d, non_dominated_sort
 from .scenario import KAPPA_RANGE, Scenario, ScenarioError, SolverParams
 from .sensing import exposure  # noqa: F401  (a name perfbench/tracing.py wraps)
@@ -97,11 +98,6 @@ def decode(chromosome: Chromosome, scenario: Scenario) -> TourPlan:
     return TourPlan(tuple(order), ids, poses, tuple(radii))
 
 
-def decoded_tour(chromosome: Chromosome, scenario: Scenario) -> CompositePath:
-    plan = decode(chromosome, scenario)
-    return build_tour(list(plan.poses), list(plan.radii))
-
-
 def _edge_keys(order, headings, radii) -> list[tuple]:
     """Each segment's edge key: (from index, from heading, to index, to heading, radius).
 
@@ -120,7 +116,10 @@ class EdgeTable:
     key, so an entry holds exactly what ``build_tour`` and ``exposure`` would
     compute again, and sums of entries in tour order are bit-identical to
     theirs.  Entries are (length, exposure) floats; exposure stays None until
-    scoring first needs it, as repair needs lengths only.
+    scoring first needs it, as repair needs lengths only.  Edges are solved to
+    float rows (``row``), never to ``Pose`` or ``DubinsPath`` objects.
+    ``solved`` counts the curves solved and ``integrated`` the curves whose
+    exposure was integrated.
     """
 
     def __init__(self, scenario: Scenario, exposure_step: float | None = None):
@@ -128,18 +127,24 @@ class EdgeTable:
         self.exposure_step = exposure_step
         self.rewards = tuple(loc.reward for loc in scenario.locations)
         self.edges: dict[tuple, tuple[float, float | None]] = {}
+        self.solved = 0
+        self.integrated = 0
 
     def serves(self, scenario: Scenario, exposure_step: float | None = None) -> bool:
         return (self.scenario is scenario or self.scenario == scenario) and (
             exposure_step is None or exposure_step == self.exposure_step
         )
 
-    def curve(self, key: tuple) -> DubinsPath:
+    def row(self, key: tuple) -> tuple:
+        """The edge's curve as ``sensing.row_exposures`` takes it: (length, radius,
+        first and second segment lengths, start x, start y, start heading, family)."""
         a, theta_a, b, theta_b, radius = key
         start, end = self.scenario.locations[a], self.scenario.locations[b]
-        return geometry.dubins_shortest(
-            Pose(start.x, start.y, theta_a), Pose(end.x, end.y, theta_b), radius
+        family, seg0, seg1, _, length = dubins_solve(
+            start.x, start.y, theta_a, end.x, end.y, theta_b, radius
         )
+        self.solved += 1
+        return (length, radius, seg0, seg1, start.x, start.y, theta_a, family)
 
     def tour_length(self, keys: list[tuple]) -> float:
         """Length of the chained edges, summed from 0.0 in tour order as ``build_tour`` sums it."""
@@ -148,7 +153,7 @@ class EdgeTable:
         for key in keys:
             entry = edges.get(key)
             if entry is None:
-                entry = edges[key] = (self.curve(key).length, None)
+                entry = edges[key] = (self.row(key)[0], None)
             total += entry[0]
         return total
 
@@ -185,8 +190,8 @@ def _score_tours(tours, scenario: Scenario, exposure_step: float, table: EdgeTab
     """Fitness of each (order, headings, radii) tour, with curve values from ``table``.
 
     A scan keys each tour's edges and solves each edge still without an
-    exposure once.  Once the pending curves reach ``sensing.BATCH_PAIRS``
-    point-sensor pairs, at the end of a tour, ``sensing.curve_exposures``
+    exposure once, to a row.  Once the pending rows reach ``sensing.BATCH_PAIRS``
+    point-sensor pairs, at the end of a tour, ``sensing.row_exposures``
     integrates them and the tours scanned so far are summed, so memory stays
     bounded by the budget, not by the number of tours.
     """
@@ -202,8 +207,10 @@ def _score_tours(tours, scenario: Scenario, exposure_step: float, table: EdgeTab
         for key in keys:
             entry = edges.get(key)
             if (entry is None or entry[1] is None) and key not in pending:
-                curve = pending[key] = table.curve(key)
-                pairs += sensing.quadrature_pairs(field, curve, exposure_step)
+                row = table.row(key)
+                cost = sensing.quadrature_pairs(field, row[0], exposure_step)
+                pending[key] = (row, cost)
+                pairs += cost
         if pairs >= sensing.BATCH_PAIRS:
             _integrate(pending, table, exposure_step)
             fits += [_fitness(order, keys, table) for order, keys in scanned]
@@ -213,10 +220,13 @@ def _score_tours(tours, scenario: Scenario, exposure_step: float, table: EdgeTab
 
 
 def _integrate(pending: dict, table: EdgeTable, step: float) -> None:
-    """Store each pending curve's length and exposure under its key, and empty ``pending``."""
-    values = sensing.curve_exposures(table.scenario.field, list(pending.values()), step)
-    for (key, curve), value in zip(pending.items(), values):
-        table.edges[key] = (curve.length, value)
+    """Store each pending (row, pairs)'s length and exposure under its key, and empty ``pending``."""
+    rows = [row for row, _ in pending.values()]
+    pairs = [cost for _, cost in pending.values()]
+    values = sensing.row_exposures(table.scenario.field, rows, pairs, step)
+    for key, row, value in zip(pending, rows, values):
+        table.edges[key] = (row[0], value)
+    table.integrated += len(pending)
     pending.clear()
 
 
@@ -456,6 +466,8 @@ class EvolveResult:
     stats: list[GenStats]
     budget_violations: int = 0
     evaluations: int = 0
+    curves_solved: int = 0        # Dubins edges solved, from the run's EdgeTable
+    curves_integrated: int = 0    # curves whose exposure was integrated
 
 
 class _Member(NamedTuple):
@@ -712,4 +724,6 @@ def evolve(
         stats=stats,
         budget_violations=budget_violations,
         evaluations=evaluations,
+        curves_solved=table.solved,
+        curves_integrated=table.integrated,
     )

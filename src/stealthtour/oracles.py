@@ -17,10 +17,13 @@ import math
 
 import numpy as np
 
-from .evolution import Solution, decode, plan_from_tour, sample_von_mises, score
-from .geometry import FAMILIES, DubinsPath, Pose, TWO_PI, dubins_shortest, path_end, sample_many
+from .evolution import Chromosome, Solution, decode, plan_from_tour, sample_von_mises, score
+from .geometry import (
+    FAMILIES, CompositePath, DubinsPath, Pose, TWO_PI, build_tour, dubins_shortest, path_end,
+    sample_many,
+)
 from .pareto import Fitness, dominates, non_dominated_sort
-from .scenario import Scenario, TargetLocation
+from .scenario import Scenario, ScenarioError, TargetLocation
 from .sensing import SensorField, intensity_many
 
 # --- one solver per Dubins family ----------------------------------------
@@ -115,6 +118,26 @@ def dubins_shortest_reference(start: Pose, end: Pose, radius: float) -> DubinsPa
     assert best is not None  # at least one CSC family always exists
     seg = tuple(v * radius for v in best)
     return DubinsPath(best_family, radius, seg, start, best_len * radius)
+
+
+# --- whole tours rebuilt from their poses ---------------------------------
+
+
+def decoded_tour(chromosome: Chromosome, scenario: Scenario) -> CompositePath:
+    """The chromosome's decoded tour with every curve built, as the edge table never builds it."""
+    plan = decode(chromosome, scenario)
+    return build_tour(list(plan.poses), list(plan.radii))
+
+
+def total_reward(scenario: Scenario, subset) -> float:
+    """Sum of rewards of the given location-id subset, looked up by id."""
+    rewards = {loc.id: loc.reward for loc in scenario.locations}
+    out = 0.0
+    for lid in subset:
+        if lid not in rewards:
+            raise ScenarioError(f"unknown location id {lid}")
+        out += rewards[lid]
+    return out
 
 
 # --- the archive by exhaustive scan ---------------------------------------

@@ -94,13 +94,3 @@ def hypervolume_2d(front: list[Fitness], reference: tuple[float, float]) -> floa
         prev_r = r
     return area
 
-
-def extremes(front: list[Fitness]) -> dict[str, tuple[float, float]]:
-    """Componentwise (min, max) over reward, exposure and length."""
-    if not front:
-        raise ValueError("empty front")
-    out = {}
-    for name in ("reward", "exposure", "length"):
-        vals = [getattr(f, name) for f in front]
-        out[name] = (min(vals), max(vals))
-    return out

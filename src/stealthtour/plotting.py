@@ -18,6 +18,21 @@ CANVAS_WIDTH = 640.0
 MARGIN_M = 2.0
 HEAT_CELL_M = 0.5
 PATH_STEP_M = 0.05
+# Most heat cells one render draws, and most path steps (tour length over the
+# step; rounding up each curve's steps and its first point add at most two
+# points per curve).  A wider workspace or a longer tour doubles the cell side
+# or the path step until its count fits, so the SVG's size stays bounded
+# whatever the coordinates (up to 1e9 m).  The builtin instances need at most
+# 3,600 cells and a few thousand steps.
+MAX_HEAT_CELLS = 40_000
+MAX_PATH_POINTS = 100_000
+
+
+def _coarsened(size: float, count, limit: int) -> float:
+    """``size`` doubled until ``count(size)`` is at most ``limit``."""
+    while count(size) > limit:
+        size *= 2.0
+    return size
 
 
 def _bounds(scenario: Scenario):
@@ -51,13 +66,15 @@ def render_solution_svg(scenario: Scenario, poses: list[Pose], radii: list[float
 
     # sensor intensity heat layer, one rect per grid cell
     if scenario.field.nodes:
-        nx = int(math.ceil((x1 - x0) / HEAT_CELL_M))
-        ny = int(math.ceil((y1 - y0) / HEAT_CELL_M))
-        cx = x0 + (np.arange(nx) + 0.5) * HEAT_CELL_M
-        cy = y0 + (np.arange(ny) + 0.5) * HEAT_CELL_M
+        cells = lambda side: math.ceil((x1 - x0) / side) * math.ceil((y1 - y0) / side)
+        cell = _coarsened(HEAT_CELL_M, cells, MAX_HEAT_CELLS)
+        nx = int(math.ceil((x1 - x0) / cell))
+        ny = int(math.ceil((y1 - y0) / cell))
+        cx = x0 + (np.arange(nx) + 0.5) * cell
+        cy = y0 + (np.arange(ny) + 0.5) * cell
         gx, gy = np.meshgrid(cx, cy)
         vals = intensity_many(scenario.field, gx.ravel(), gy.ravel()).reshape(gy.shape)
-        cell_px = HEAT_CELL_M * scale
+        cell_px = cell * scale
         for j in range(ny):
             for i in range(nx):
                 opacity = min(1.0, vals[j, i] / scenario.field.cap)
@@ -80,11 +97,12 @@ def render_solution_svg(scenario: Scenario, poses: list[Pose], radii: list[float
     # path polyline sampled densely along every curve
     if len(poses) >= 2:
         tour = build_tour(poses, radii)
+        step = _coarsened(PATH_STEP_M, lambda step: tour.total_length / step, MAX_PATH_POINTS)
         pts = []
         for curve in tour.curves:
             if curve.length <= 0.0:
                 continue
-            n = max(1, int(math.ceil(curve.length / PATH_STEP_M)))
+            n = max(1, int(math.ceil(curve.length / step)))
             s = np.linspace(0.0, curve.length, n + 1)
             xs, ys, _ = sample_many(curve, s)
             pts.extend(zip(xs, ys))

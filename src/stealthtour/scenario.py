@@ -101,17 +101,6 @@ class Scenario:
         raise ScenarioError(f"unknown location id {location_id}")
 
 
-def total_reward(scenario: Scenario, subset) -> float:
-    """Sum of rewards of the given location-id subset."""
-    rewards = {loc.id: loc.reward for loc in scenario.locations}
-    out = 0.0
-    for lid in subset:
-        if lid not in rewards:
-            raise ScenarioError(f"unknown location id {lid}")
-        out += rewards[lid]
-    return out
-
-
 def scenario_to_dict(sc: Scenario) -> dict:
     data = {
         "name": sc.name,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CompositePath, DubinsPath, positions_many
+from .geometry import FAMILIES, CompositePath, DubinsPath
 
 # Largest magnitude of a coordinate, a budget or a turning radius, in metres;
 # the smallest radius is its inverse.  Within these the Dubins solver's squared
@@ -85,7 +85,7 @@ def intensity_many(field: SensorField, xs: np.ndarray, ys: np.ndarray) -> np.nda
     return vals.sum(axis=1)
 
 
-def quadrature_pairs(field: SensorField, curve: DubinsPath, step: float) -> int:
+def quadrature_pairs(field: SensorField, length: float, step: float) -> int:
     """(Simpson point, sensor) pairs of one curve's exposure at spacing <= step.
 
     Zero for a curve without length or a field without sensors, whose exposure
@@ -95,28 +95,44 @@ def quadrature_pairs(field: SensorField, curve: DubinsPath, step: float) -> int:
     if not step > 0.0:
         raise ValueError("step must be positive")
     sensors = len(field.nodes)
-    if curve.length <= 0.0 or not sensors:
+    if length <= 0.0 or not sensors:
         return 0
-    points = curve.length / step  # a float, so a huge count cannot overflow
+    points = length / step  # a float, so a huge count cannot overflow
     if points * sensors > MAX_QUADRATURE_PAIRS:
         raise QuadratureTooLargeError(
-            f"a {curve.length:.6g} m curve at exposure step {step:g} needs about {points:.3g} "
+            f"a {length:.6g} m curve at exposure step {step:g} needs about {points:.3g} "
             f"quadrature points for each of {sensors} sensors, more than "
             f"{MAX_QUADRATURE_PAIRS:g} point-sensor pairs"
         )
-    return (2 * max(1, math.ceil(curve.length / (2.0 * step))) + 1) * sensors
+    return (2 * max(1, math.ceil(length / (2.0 * step))) + 1) * sensors
+
+
+def curve_row(curve: DubinsPath) -> tuple:
+    """The curve as the float row ``row_exposures`` integrates:
+    (length, radius, first and second segment lengths, start x, start y,
+    start heading, family index in ``FAMILIES``)."""
+    seg = curve.seg_params
+    start = curve.start
+    family = FAMILIES.index(curve.family)
+    return (curve.length, curve.radius, seg[0], seg[1], start.x, start.y, start.theta, family)
 
 
 def curve_exposures(field: SensorField, curves, step: float) -> list[float]:
-    """Composite Simpson exposure of each curve, many curves sampled and sensed per pass.
+    """Composite Simpson exposure of each curve; see ``row_exposures``."""
+    rows = [curve_row(c) for c in curves]
+    return row_exposures(field, rows, [quadrature_pairs(field, r[0], step) for r in rows], step)
 
-    Curves go in runs of at least ``BATCH_PAIRS`` point-sensor pairs (the last
-    run may be shorter).  Every curve is checked against the quadrature bound
-    before any run starts, and every value is bit-identical to integrating its
-    curve alone with ``np.linspace``, ``geometry.sample_many`` and one
-    ``np.dot``, the route kept in ``oracles.simpson_curve_exposure``.
+
+def row_exposures(field: SensorField, rows, pairs, step: float) -> list[float]:
+    """Composite Simpson exposure of each curve row, many rows sampled and sensed per pass.
+
+    ``pairs`` holds each row's ``quadrature_pairs``, so every curve has been
+    checked against the quadrature bound before any run starts.  Rows go in
+    runs of at least ``BATCH_PAIRS`` point-sensor pairs (the last run may be
+    shorter).  Every value is bit-identical to integrating its curve alone
+    with ``np.linspace``, ``geometry.sample_many`` and one ``np.dot``, the
+    route kept in ``oracles.simpson_curve_exposure``.
     """
-    pairs = [quadrature_pairs(field, c, step) for c in curves]
     runs, run_pairs = [[]], 0
     for k, p in enumerate(pairs):
         if not p:
@@ -126,31 +142,86 @@ def curve_exposures(field: SensorField, curves, step: float) -> list[float]:
             run_pairs = 0
         runs[-1].append(k)
         run_pairs += p
-    values = [0.0] * len(curves)
+    values = [0.0] * len(rows)
     for run in filter(None, runs):
-        for k, v in zip(run, _simpson_run(field, [curves[k] for k in run], step)):
+        for k, v in zip(run, _simpson_run(field, [rows[k] for k in run], step)):
             values[k] = v
     return values
 
 
-def _simpson_run(field: SensorField, curves, step: float) -> list[float]:
-    """Simpson exposure of curves of positive length, all sampled and sensed at once."""
-    length = np.array([cv.length for cv in curves])
+# each family's turn sign per segment: +1 left, -1 right, 0 straight
+_TURNS = np.array([["RSL".index(letter) - 1.0 for letter in family] for family in FAMILIES])
+
+
+def _simpson_run(field: SensorField, rows, step: float) -> list[float]:
+    """Simpson exposure of curve rows of positive length, all sampled and sensed at once."""
+    length, radius, seg0, seg1, x0, y0, theta0, family = np.array(rows).T
+    c = len(rows)
     n = 2 * np.maximum(1, np.ceil(length / (2.0 * step)).astype(np.int64))
     first = np.cumsum(n + 1) - (n + 1)
     last = first + n
-    i = np.arange(int(last[-1]) + 1) - np.repeat(first, n + 1)
+    curve_of = np.repeat(np.arange(c), n + 1)
+    i = np.arange(int(last[-1]) + 1) - first[curve_of]
     # arc lengths as np.linspace(0, length, n + 1) gives them: i * (length / n),
     # then the end itself (its other branch, for length / n == 0, only runs
     # for a length of one subnormal unit, and gives the same points)
     h = length / n
-    s = i * np.repeat(h, n + 1)
+    s = i * h[curve_of]
     s[last] = length
-    vals = intensity_many(field, *positions_many(curves, s, n + 1))
+
+    # each point's segment is the count of segment ends at or below it, as
+    # sample_many's searchsorted finds it while rounding leaves those ends in
+    # order; otherwise that searchsorted itself
+    ends = seg0 + seg1
+    idx = (s >= seg0[curve_of]).astype(np.intp) + (s >= ends[curve_of])
+    for k in np.flatnonzero(ends > length).tolist():
+        run = slice(first[k], last[k] + 1)
+        found = np.searchsorted([seg0[k], ends[k], length[k]], s[run], side="right")
+        idx[run] = np.minimum(found, 2)
+
+    # where each curve's three segments begin: arc length, (x, y), heading, with
+    # its sine and cosine, and the signed radius of an arc (sign +1 left, -1 right)
+    turns = _TURNS[family.astype(np.intp)]
+    signed = turns * radius[:, None]
+    begin = np.stack([np.zeros(c), seg0, ends], axis=1)
+    x, y, theta = np.empty((3, c, 3))
+    sin_t, cos_t = np.empty((2, c, 3))
+    x[:, 0], y[:, 0], theta[:, 0] = x0, y0, theta0
+    for k, seg in enumerate((seg0, seg1)):
+        sin_t[:, k], cos_t[:, k] = np.sin(theta[:, k]), np.cos(theta[:, k])
+        x[:, k + 1], y[:, k + 1], theta[:, k + 1] = _move(
+            x[:, k], y[:, k], theta[:, k], sin_t[:, k], cos_t[:, k], turns[:, k], seg, signed[:, k]
+        )
+    sin_t[:, 2], cos_t[:, 2] = np.sin(theta[:, 2]), np.cos(theta[:, 2])
+
+    # each point from its segment's start
+    piece = curve_of * 3 + idx
+    ds = s - begin.ravel()[piece]
+    xs, ys, _ = _move(
+        *(a.ravel()[piece] for a in (x, y, theta, sin_t, cos_t, turns)), ds, signed.ravel()[piece]
+    )
+    vals = intensity_many(field, xs, ys)
     weights = np.where(i % 2 == 1, 4.0, 2.0)
     weights[first] = weights[last] = 1.0
     dots = [np.dot(weights[a:b], vals[a:b]) for a, b in zip(first.tolist(), (last + 1).tolist())]
     return (h / 3.0 * np.array(dots)).tolist()
+
+
+def _move(x, y, theta, sin_t, cos_t, turn, ds, signed_radius):
+    """(x, y, heading) after arc length ds along straight (turn 0) or arc pieces, elementwise.
+
+    An arc of signed radius r = turn * radius ends at heading theta + ds / r
+    and at (x + r (sin nt - sin theta), y - r (cos nt - cos theta)): with
+    r < 0 these are, bit for bit, ``geometry``'s right-turn expressions, as
+    IEEE negation is exact.
+    """
+    xs, ys, ths = x + ds * cos_t, y + ds * sin_t, theta.copy()
+    arc = turn != 0.0
+    r = signed_radius[arc]
+    nt = ths[arc] = theta[arc] + ds[arc] / r
+    xs[arc] = x[arc] + r * (np.sin(nt) - sin_t[arc])
+    ys[arc] = y[arc] - r * (np.cos(nt) - cos_t[arc])
+    return xs, ys, ths
 
 
 def exposure(field: SensorField, path: CompositePath | DubinsPath, step: float) -> float:

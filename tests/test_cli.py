@@ -59,6 +59,22 @@ def test_solve_bad_parameter_exits_one(tmp_path, capsys, flag, value):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_solve_out_dir_that_is_a_file_exits_one(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    rc = main(["solve", *SMALL_RUN, "--out-dir", str(afile)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert afile.read_text() == "keep\n"
+
+
+def test_solve_output_path_that_is_a_directory_exits_one(tmp_path, capsys):
+    (tmp_path / "front.csv").mkdir()
+    rc = main(["solve", *SMALL_RUN, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_evaluate_round_trips_report(tmp_path, capsys):
     _, rep = run_solve(tmp_path)
     report = json.loads(rep)

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stealthtour import sensing
+from stealthtour import geometry, sensing
 from stealthtour.evolution import (
-    Chromosome, EdgeTable, decode, decoded_tour, evaluate, evaluate_all, repair_budget,
+    Chromosome, EdgeTable, decode, evaluate, evaluate_all, evolve, repair_budget,
 )
 from stealthtour.geometry import build_tour
+from stealthtour.oracles import decoded_tour, total_reward
 from stealthtour.pareto import Fitness
-from stealthtour.scenario import generate_instance, total_reward, with_overrides
+from stealthtour.scenario import SolverParams, generate_instance, with_overrides
 from stealthtour.sensing import exposure
 
 STEP = 0.5
@@ -112,3 +113,28 @@ def test_table_refuses_another_scenario_or_step():
         repair_budget(ch, SCENARIOS["fixed-headings"], np.random.default_rng(0), table)
     # an equal scenario rebuilt from scratch is the same scenario
     assert evaluate(ch, generate_instance("cross", 1), STEP, table) == direct_fitness(ch, CROSS_1)
+
+
+def test_table_counts_its_traffic_on_the_benchmark_solve():
+    # the benchmark's cross-default solve: cross-1, 100 x 100, reference-point, step 0.05
+    params = SolverParams(population_size=100, generations=100, selection="reference-point",
+                          seed=5, exposure_step=0.05)
+    result = evolve(CROSS_1, params)
+    assert result.curves_solved == 10_211
+    # 6,035 distinct edges, of which 1,859 were only ever needed for their length
+    assert result.curves_integrated == 4_176
+
+
+def test_evolve_builds_no_curve_object(monkeypatch):
+    params = SolverParams(population_size=20, generations=5, seed=3, exposure_step=STEP)
+    expected = evolve(SCENARIOS["grid-2-closed"], params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a curve object was built on the scoring path")
+
+    monkeypatch.setattr(geometry, "dubins_shortest", refuse)
+    monkeypatch.setattr(geometry, "DubinsPath", refuse)
+    got = evolve(SCENARIOS["grid-2-closed"], params)
+    assert [(s.fitness, s.plan) for s in got.front] == [(s.fitness, s.plan) for s in expected.front]
+    assert all(a.chromosome.equals(b.chromosome) for a, b in zip(got.front, expected.front))
+    assert got.stats == expected.stats

@@ -13,7 +13,6 @@ from stealthtour.evolution import (
     align_headings,
     crossover_two_point,
     decode,
-    decoded_tour,
     evaluate,
     evolve,
     initialize_population,
@@ -23,7 +22,7 @@ from stealthtour.evolution import (
     _update_archive,
 )
 from stealthtour.geometry import Pose, dubins_shortest
-from stealthtour.oracles import bessel_i0, bessel_i1, update_archive_reference
+from stealthtour.oracles import bessel_i0, bessel_i1, decoded_tour, update_archive_reference
 from stealthtour.pareto import Fitness
 from stealthtour.scenario import KAPPA_RANGE, Scenario, SolverParams, TargetLocation
 from stealthtour.sensing import SensorField

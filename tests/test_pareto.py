@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +5,6 @@ from stealthtour.oracles import brute_force_fronts, monte_carlo_hypervolume
 from stealthtour.pareto import (
     Fitness,
     dominates,
-    extremes,
     hypervolume_2d,
     non_dominated_sort,
 )
@@ -120,21 +118,3 @@ def test_hypervolume_monotone_under_insertion(rng):
     grown = hypervolume_2d(front + [fit(3.0, 6.0)], ref)
     assert grown >= base
 
-
-def test_extremes_single_and_scan(rng):
-    single = extremes([fit(1.0, 2.0, 3.0)])
-    assert single == {"reward": (1.0, 1.0), "exposure": (2.0, 2.0), "length": (3.0, 3.0)}
-    front = [fit(1.40, 2682.81, 36.67), fit(7.60, 6671.75, 88.91)]
-    ext = extremes(front)
-    assert ext["reward"] == (1.40, 7.60)
-    assert ext["exposure"] == (2682.81, 6671.75)
-    rand = [fit(float(r), float(e), float(l)) for r, e, l in rng.random((30, 3))]
-    ext = extremes(rand)
-    for name in ("reward", "exposure", "length"):
-        vals = [getattr(f, name) for f in rand]
-        assert ext[name] == (min(vals), max(vals))
-
-
-def test_extremes_empty_front():
-    with pytest.raises(ValueError):
-        extremes([])

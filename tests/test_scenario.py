@@ -14,9 +14,9 @@ from stealthtour.scenario import (
     generate_instance,
     load_scenario,
     save_scenario,
-    total_reward,
     with_overrides,
 )
+from stealthtour.oracles import total_reward
 from stealthtour.sensing import SensorField
 
 MINIMAL = {
