@@ -13,8 +13,8 @@ and updated by bisection; ``_best_survivors`` is the single-objective
 baseline, which ranks by reward and keeps the one best tour.  Only the final
 archive is decoded into plans.  Scoring and repair read each Dubins curve's
 length and exposure from a per-run ``EdgeTable``; ``evaluate_all`` scores a
-whole generation in one pass, integrating its new curves' exposures in
-batches.
+whole generation in one pass, integrating its new curves' exposures with
+one ``sensing.row_exposures`` call.
 """
 
 from __future__ import annotations
@@ -117,7 +117,9 @@ class EdgeTable:
     compute again, and sums of entries in tour order are bit-identical to
     theirs.  Entries are (length, exposure) floats; exposure stays None until
     scoring first needs it, as repair needs lengths only.  Edges are solved to
-    float rows (``row``), never to ``Pose`` or ``DubinsPath`` objects.
+    float rows (``row``), never to ``Pose`` or ``DubinsPath`` objects, and
+    each scoring pass integrates the rows it solved with one
+    ``sensing.row_exposures`` call.
     ``solved`` counts the curves solved and ``integrated`` the curves whose
     exposure was integrated.
     """
@@ -189,62 +191,44 @@ def score(
 def _score_tours(tours, scenario: Scenario, exposure_step: float, table: EdgeTable | None):
     """Fitness of each (order, headings, radii) tour, with curve values from ``table``.
 
-    A scan keys each tour's edges and solves each edge still without an
-    exposure once, to a row.  Once the pending rows reach ``sensing.BATCH_PAIRS``
-    point-sensor pairs, at the end of a tour, ``sensing.row_exposures``
-    integrates them and the tours scanned so far are summed, so memory stays
-    bounded by the budget, not by the number of tours.
+    Every tour is keyed first, and each edge still without an exposure is
+    solved once, to a row, in first-seen order.  One ``sensing.row_exposures``
+    call integrates all those rows, which then fill ``table``, and each tour
+    is summed from it.
     """
     if table is None:
         table = EdgeTable(scenario, exposure_step)
     elif not table.serves(scenario, exposure_step):
         raise ValueError("edge table belongs to another scenario or exposure step")
-    field, edges = scenario.field, table.edges
-    fits, scanned, pending, pairs = [], [], {}, 0
+    edges = table.edges
+    keyed, fresh = [], {}
     for order, headings, radii in tours:
         keys = _edge_keys(order, headings, radii)
-        scanned.append((order, keys))
+        keyed.append((order, keys))
         for key in keys:
             entry = edges.get(key)
-            if (entry is None or entry[1] is None) and key not in pending:
-                row = table.row(key)
-                cost = sensing.quadrature_pairs(field, row[0], exposure_step)
-                pending[key] = (row, cost)
-                pairs += cost
-        if pairs >= sensing.BATCH_PAIRS:
-            _integrate(pending, table, exposure_step)
-            fits += [_fitness(order, keys, table) for order, keys in scanned]
-            scanned, pairs = [], 0
-    _integrate(pending, table, exposure_step)
-    return fits + [_fitness(order, keys, table) for order, keys in scanned]
-
-
-def _integrate(pending: dict, table: EdgeTable, step: float) -> None:
-    """Store each pending (row, pairs)'s length and exposure under its key, and empty ``pending``."""
-    rows = [row for row, _ in pending.values()]
-    pairs = [cost for _, cost in pending.values()]
-    values = sensing.row_exposures(table.scenario.field, rows, pairs, step)
-    for key, row, value in zip(pending, rows, values):
-        table.edges[key] = (row[0], value)
-    table.integrated += len(pending)
-    pending.clear()
+            if (entry is None or entry[1] is None) and key not in fresh:
+                fresh[key] = table.row(key)
+    rows = list(fresh.values())
+    values = sensing.row_exposures(scenario.field, rows, exposure_step)
+    for key, row, value in zip(fresh, rows, values):
+        edges[key] = (row[0], value)
+    table.integrated += len(rows)
+    return [_fitness(order, keys, table) for order, keys in keyed]
 
 
 def _fitness(order, keys, table: EdgeTable) -> Fitness:
-    """One tour's fitness from the table, added up as ``build_tour`` and ``exposure`` add.
-
-    Rewards and lengths are added from 0.0 in tour order, exposures with ``sum``.
-    """
-    length = 0.0
-    exposures = []
+    """One tour's fitness from the table, added up as ``build_tour`` and ``exposure`` add:
+    rewards, exposures and lengths each from 0.0 in tour order."""
+    length = exposed = 0.0
     for key in keys:
         entry = table.edges[key]
         length += entry[0]
-        exposures.append(entry[1])
+        exposed += entry[1]
     reward = 0.0
     for i in order:
         reward += table.rewards[i]
-    return Fitness(reward, sum(exposures), length)
+    return Fitness(reward, exposed, length)
 
 
 def _numbers(name: str, values, kind=float) -> tuple:
@@ -585,12 +569,12 @@ def _environmental_selection(pop, fits, params, rng):
         for i in front:
             rank_of[i] = r
 
-    full_fronts = []
+    taken = []  # the fronts taken whole, then the part of the last one chosen
     last_front = None
     for front in fronts:
         if len(selected) + len(front) <= n:
             selected.extend(front)
-            full_fronts.append(front)
+            taken.append(front)
         else:
             last_front = front
             break
@@ -599,14 +583,12 @@ def _environmental_selection(pop, fits, params, rng):
         if last_front is not None:
             cd = crowding_distance(fits, last_front)
             order = sorted(range(len(last_front)), key=lambda k: (-cd[k], last_front[k]))
-            selected.extend(last_front[k] for k in order[: n - len(selected)])
-        div = np.zeros(n)
-        sel_fits = [fits[i] for i in selected]
-        sel_fronts = non_dominated_sort(sel_fits)
-        for front in sel_fronts:
-            cd = crowding_distance(sel_fits, front)
-            for k, idx in enumerate(front):
-                div[idx] = -cd[k]  # smaller is better
+            chosen = [last_front[k] for k in order[: n - len(selected)]]
+            selected.extend(chosen)
+            taken.append(chosen)
+        # the selected members' layers are the taken fronts, in selection
+        # order; the negated distance makes smaller better
+        div = -np.concatenate([crowding_distance(fits, front) for front in taken])
         ranks = np.array([rank_of[i] for i in selected])
         tiebreak = np.zeros(n)
     else:

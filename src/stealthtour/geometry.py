@@ -18,7 +18,7 @@ TWO_PI = 2.0 * math.pi
 FAMILIES = ("LSL", "RSR", "LSR", "RSL", "RLR", "LRL")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Pose:
     """Planar position plus heading; heading is normalized on construction."""
 
@@ -26,15 +26,8 @@ class Pose:
     y: float
     theta: float
 
-    # Written out because the generated frozen __init__ plus a __post_init__
-    # takes twice as long, and each Dubins curve solved builds two poses.
-    def __init__(self, x: float, y: float, theta: float):
-        _setattr(self, "x", x)
-        _setattr(self, "y", y)
-        _setattr(self, "theta", theta % TWO_PI)
-
-
-_setattr = object.__setattr__  # what a frozen dataclass sets its fields with
+    def __post_init__(self):
+        object.__setattr__(self, "theta", self.theta % TWO_PI)
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,8 @@ def dubins_shortest_reference(start: Pose, end: Pose, radius: float) -> DubinsPa
         res = _SOLVERS[family](a, b, d)
         if res is None:
             continue
-        total = sum(res)
+        t, p, q = res
+        total = t + p + q  # left to right: from Python 3.12 ``sum`` compensates
         if total < best_len:
             best_len = total
             best = res

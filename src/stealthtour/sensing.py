@@ -119,20 +119,22 @@ def curve_row(curve: DubinsPath) -> tuple:
 
 def curve_exposures(field: SensorField, curves, step: float) -> list[float]:
     """Composite Simpson exposure of each curve; see ``row_exposures``."""
-    rows = [curve_row(c) for c in curves]
-    return row_exposures(field, rows, [quadrature_pairs(field, r[0], step) for r in rows], step)
+    return row_exposures(field, [curve_row(c) for c in curves], step)
 
 
-def row_exposures(field: SensorField, rows, pairs, step: float) -> list[float]:
+def row_exposures(field: SensorField, rows, step: float) -> list[float]:
     """Composite Simpson exposure of each curve row, many rows sampled and sensed per pass.
 
-    ``pairs`` holds each row's ``quadrature_pairs``, so every curve has been
-    checked against the quadrature bound before any run starts.  Rows go in
-    runs of at least ``BATCH_PAIRS`` point-sensor pairs (the last run may be
-    shorter).  Every value is bit-identical to integrating its curve alone
-    with ``np.linspace``, ``geometry.sample_many`` and one ``np.dot``, the
-    route kept in ``oracles.simpson_curve_exposure``.
+    Every row's ``quadrature_pairs`` is counted first, so every curve is
+    checked against the quadrature bound before any run starts.  Rows of
+    positive cost go in runs that close once they reach ``BATCH_PAIRS``
+    point-sensor pairs, so a run holds fewer than ``BATCH_PAIRS`` plus one
+    curve's pairs whatever the number of rows.  Every value is bit-identical
+    to integrating its curve alone with ``np.linspace``,
+    ``geometry.sample_many`` and one ``np.dot``, the route kept in
+    ``oracles.simpson_curve_exposure``.
     """
+    pairs = [quadrature_pairs(field, row[0], step) for row in rows]
     runs, run_pairs = [[]], 0
     for k, p in enumerate(pairs):
         if not p:
@@ -225,6 +227,13 @@ def _move(x, y, theta, sin_t, cos_t, turn, ds, signed_radius):
 
 
 def exposure(field: SensorField, path: CompositePath | DubinsPath, step: float) -> float:
-    """Integral of field intensity along the path, sampled at spacing <= step."""
+    """Integral of field intensity along the path, sampled at spacing <= step.
+
+    The curves' values are added from 0.0 in path order, the bits ``sum``
+    gives before Python 3.12 (later ``sum``s compensate).
+    """
     curves = path.curves if isinstance(path, CompositePath) else (path,)
-    return sum(curve_exposures(field, curves, step))
+    total = 0.0
+    for value in curve_exposures(field, curves, step):
+        total += value
+    return total

@@ -1,5 +1,6 @@
 """The per-run edge table gives exactly the numbers of a direct rebuild."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stealthtour import geometry, sensing
+from stealthtour import evolution, geometry, oracles, sensing
 from stealthtour.evolution import (
     Chromosome, EdgeTable, decode, evaluate, evaluate_all, evolve, repair_budget,
 )
-from stealthtour.geometry import build_tour
-from stealthtour.oracles import decoded_tour, total_reward
+from stealthtour.geometry import Pose, build_tour
+from stealthtour.oracles import decoded_tour, dubins_shortest_reference, total_reward
 from stealthtour.pareto import Fitness
 from stealthtour.scenario import SolverParams, generate_instance, with_overrides
 from stealthtour.sensing import exposure
@@ -138,3 +139,49 @@ def test_evolve_builds_no_curve_object(monkeypatch):
     assert [(s.fitness, s.plan) for s in got.front] == [(s.fitness, s.plan) for s in expected.front]
     assert all(a.chromosome.equals(b.chromosome) for a, b in zip(got.front, expected.front))
     assert got.stats == expected.stats
+
+
+def test_each_scoring_pass_integrates_once_in_bounded_runs(monkeypatch):
+    params = SolverParams(population_size=20, generations=4, seed=2, exposure_step=STEP)
+    expected = evolve(CROSS_1, params)
+    row_exposures, simpson_run = sensing.row_exposures, sensing._simpson_run
+    calls, runs = [], []
+
+    def count_calls(field, rows, *rest):
+        calls.append(len(rows))
+        return row_exposures(field, rows, *rest)
+
+    def record_run(field, rows, step):
+        runs.append([sensing.quadrature_pairs(field, row[0], step) for row in rows])
+        return simpson_run(field, rows, step)
+
+    monkeypatch.setattr(sensing, "BATCH_PAIRS", 500)
+    monkeypatch.setattr(sensing, "row_exposures", count_calls)
+    monkeypatch.setattr(sensing, "_simpson_run", record_run)
+    got = evolve(CROSS_1, params)
+    assert len(calls) == params.generations + 1
+    assert sum(calls) == got.curves_integrated
+    # each run closes once it reaches the budget, so only its last curve may pass it
+    assert len(runs) > len(calls)
+    assert all(sum(pairs[:-1]) < sensing.BATCH_PAIRS for pairs in runs)
+    assert [s.fitness for s in got.front] == [s.fitness for s in expected.front]
+    assert got.stats == expected.stats
+
+
+def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
+    # from Python 3.12 the builtin sum compensates float rounding; fsum stands in for it
+    pool = chromosome_pool(CROSS_1, 7, size=30)
+    fits = evaluate_all(pool, CROSS_1, STEP)
+    plan = decode(pool[0], CROSS_1)
+    tour = build_tour(list(plan.poses), list(plan.radii))
+    tour_exposure = exposure(CROSS_1.field, tour, STEP)
+    rng = np.random.default_rng(11)
+    pairs = [(Pose(*rng.uniform(-20.0, 20.0, 2), rng.uniform(0.0, 2.0 * np.pi)),
+              Pose(*rng.uniform(-20.0, 20.0, 2), rng.uniform(0.0, 2.0 * np.pi)),
+              rng.uniform(0.5, 4.0)) for _ in range(300)]
+    curves = [dubins_shortest_reference(*pair) for pair in pairs]
+    for module in (evolution, sensing, oracles):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+    assert evaluate_all(pool, CROSS_1, STEP) == fits
+    assert exposure(CROSS_1.field, tour, STEP) == tour_exposure
+    assert [dubins_shortest_reference(*pair) for pair in pairs] == curves

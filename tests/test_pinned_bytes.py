@@ -32,7 +32,7 @@ CONFIGS = {
     "cross-1-crowding-distance-gen-0": CROSS_1[:-1] + ["0", "--selection", "crowding-distance"],
     "cross-1-single-objective-gen-0": CROSS_1[:-1] + ["0", "--single-objective"],
     # at step 1.0 a generation of 200 holds several batches of new curves, so
-    # exposures are integrated part-way through a generation's scoring
+    # one scoring pass integrates its exposures in several Simpson runs
     "cross-1-coarse-wide": CROSS_1[:-4] + ["--population", "200", "--generations", "2",
                                            "--selection", "crowding-distance",
                                            "--exposure-step", "1.0"],
