@@ -1,4 +1,11 @@
-"""Command-line interface: solve, evaluate, oracle, plot."""
+"""Command-line interface: solve, evaluate, oracle, plot.
+
+The commands run straight through; ``main`` alone turns an error into one
+message and exit status 1: ``infeasible scenario: ...`` for an
+``InfeasibleScenarioError``, and ``error: ...`` for a ``ValueError`` (which
+covers ``ScenarioError``, bad JSON, the parameter checks and a quadrature too
+large), an ``OSError`` or a ``RecursionError`` (JSON nested too deep).
+"""
 
 from __future__ import annotations
 
@@ -23,18 +30,15 @@ from .scenario import (
     scenario_to_dict,
     with_overrides,
 )
-from .sensing import QuadratureTooLargeError
 from .plotting import render_solution_svg
 
 
 def _stored_tour(data) -> tuple:
     """The (ids, headings, radii) of a stored tour object."""
-    if not isinstance(data, dict):
+    fields = ("ids", "headings", "radii")
+    if not isinstance(data, dict) or not all(name in data for name in fields):
         raise ScenarioError("tour: need an object with ids, headings and radii")
-    try:
-        return data["ids"], data["headings"], data["radii"]
-    except KeyError as exc:
-        raise ScenarioError(f"tour: missing field {exc.args[0]!r}") from exc
+    return tuple(data[name] for name in fields)
 
 
 def _front_member(report, index: int):
@@ -50,7 +54,7 @@ def _stored_fitness(member) -> Fitness:
     """The (reward, exposure, length) of a stored front member, each a finite number."""
     values = []
     for name in Fitness._fields:
-        value = member[name]
+        value = member.get(name)
         try:
             ok = not isinstance(value, bool) and math.isfinite(value)
         except (TypeError, OverflowError):  # not a number, or an int beyond float range
@@ -78,17 +82,9 @@ def _load_scenario_from_args(args) -> Scenario:
     if args.scenario:
         sc = load_scenario(Path(args.scenario).read_bytes())
     else:
-        sc = generate_instance(args.instance, args.instance_seed, closed=bool(args.closed))
-    overrides = {}
-    for name in ("t_max", "rho_min", "rho_max"):
-        val = getattr(args, name)
-        if val is not None:
-            overrides[name] = val
-    if args.scenario and args.closed:
-        overrides["closed"] = True
-    if overrides:
-        sc = with_overrides(sc, **overrides)
-    return sc
+        sc = generate_instance(args.instance, args.instance_seed, closed=args.closed)
+    return with_overrides(sc, t_max=args.t_max, rho_min=args.rho_min, rho_max=args.rho_max,
+                          closed=args.closed or None)
 
 
 def _add_scenario_args(parser):
@@ -121,38 +117,22 @@ def _params_from_args(args) -> SolverParams:
 
 
 def cmd_solve(args) -> int:
-    try:
-        sc = _load_scenario_from_args(args)
-        params = _params_from_args(args)
-        plots = _plot_indices(args.plot)
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    # ValueError: ScenarioError or a SolverParams range check; OSError: unreadable
-    # scenario, or an out directory that cannot be made
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    sc = _load_scenario_from_args(args)
+    params = _params_from_args(args)
+    plots = _plot_indices(args.plot)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    try:
-        result = evolve(sc, params)
-    except InfeasibleScenarioError as exc:
-        print(f"infeasible scenario: {exc}", file=sys.stderr)
-        return 1
-    except QuadratureTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = evolve(sc, params)
     duration = time.perf_counter() - t0
-    try:
-        return _write_solution(out_dir, sc, params, result, duration, plots)
-    except OSError as exc:  # e.g. a directory where an output file should go
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _write_solution(out_dir, sc, params, result, duration, plots)
+    return 0
 
 
 def _write_solution(out_dir: Path, sc: Scenario, params: SolverParams, result, duration: float,
-                    plots: list[int] | None) -> int:
-    """Write front.csv, report.json and the requested plots; 1 for a plot index out of range."""
+                    plots: list[int] | None) -> None:
+    """Write front.csv, report.json and the requested plots; a plot index past the
+    front raises ``ValueError`` once the csv and the report are written."""
     lines = ["reward,exposure,length"]
     for sol in result.front:
         f = sol.fitness
@@ -185,9 +165,9 @@ def _write_solution(out_dir: Path, sc: Scenario, params: SolverParams, result, d
     plots = range(len(result.front)) if plots is None else plots
     outside = [i for i in plots if i >= len(result.front)]
     if outside:
-        print(f"error: --plot: index {outside[0]} out of range (front size {len(result.front)})",
-              file=sys.stderr)
-        return 1
+        raise ValueError(
+            f"--plot: index {outside[0]} out of range (front size {len(result.front)})"
+        )
     for i in plots:
         sol = result.front[i]
         svg = render_solution_svg(sc, list(sol.plan.poses), list(sol.plan.radii), sol.fitness)
@@ -196,27 +176,22 @@ def _write_solution(out_dir: Path, sc: Scenario, params: SolverParams, result, d
         f"solved {sc.name}: front size {len(result.front)}, "
         f"{result.evaluations} evaluations in {duration:.2f}s"
     )
-    return 0
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        sc = _load_scenario_from_args(args)
-        if args.tour:
-            stored = json.loads(Path(args.tour).read_text())
-        else:
-            stored = _front_member(json.loads(Path(args.report).read_text()), args.index)
-        plan = plan_from_tour(sc, *_stored_tour(stored))
-        # a plan that breaks the model is not scored: a radius far out of range
-        # can make its curves, and so the exposure quadrature, arbitrarily long
-        violations = check_tour(sc, plan)
-        if not violations:
-            fit = score(plan, sc, args.exposure_step)
-            violations = check_tour(sc, plan, fit.length)
-            print(f"reward {fit.reward!r}\nexposure {fit.exposure!r}\nlength {fit.length!r}")
-    except (ValueError, OSError, RecursionError) as exc:  # ValueError: ScenarioError, bad JSON
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    sc = _load_scenario_from_args(args)
+    if args.tour:
+        stored = json.loads(Path(args.tour).read_text())
+    else:
+        stored = _front_member(json.loads(Path(args.report).read_text()), args.index)
+    plan = plan_from_tour(sc, *_stored_tour(stored))
+    # a plan that breaks the model is not scored: a radius far out of range
+    # can make its curves, and so the exposure quadrature, arbitrarily long
+    violations = check_tour(sc, plan)
+    if not violations:
+        fit = score(plan, sc, args.exposure_step)
+        violations = check_tour(sc, plan, fit.length)
+        print(f"reward {fit.reward!r}\nexposure {fit.exposure!r}\nlength {fit.length!r}")
     for v in violations:
         print(f"violation {v}")
     print("verdict " + ("INFEASIBLE" if violations else "FEASIBLE"))
@@ -224,18 +199,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    try:
-        report = json.loads(Path(args.report).read_text())
-        sol = _front_member(report, args.index)
-        sc = scenario_from_dict(report["scenario"])
-        plan = plan_from_tour(sc, *_stored_tour(sol))
-        fit = _stored_fitness(sol)
-        svg = render_solution_svg(sc, list(plan.poses), list(plan.radii), fit)
-        Path(args.out).write_text(svg)
-    # ValueError: ScenarioError, bad JSON or bad UTF-8; RecursionError: JSON nested too deep
-    except (ValueError, OSError, KeyError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = json.loads(Path(args.report).read_text())
+    sol = _front_member(report, args.index)
+    sc = scenario_from_dict(report.get("scenario"))
+    plan = plan_from_tour(sc, *_stored_tour(sol))
+    fit = _stored_fitness(sol)
+    svg = render_solution_svg(sc, list(plan.poses), list(plan.radii), fit)
+    Path(args.out).write_text(svg)
     print(f"wrote {args.out}")
     return 0
 
@@ -317,7 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InfeasibleScenarioError as exc:
+        print(f"infeasible scenario: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RecursionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 def entry() -> None:

@@ -74,8 +74,8 @@ def _visits(chromosome: Chromosome, scenario: Scenario) -> tuple[list, list, lis
     """Visit order, per-visit headings and per-segment radii of the decoded tour.
 
     The order sorts the active genes by key, ties by index, headings are taken
-    after the fixed and closed overrides, and a segment's radius is its first
-    visit's gene.
+    after the fixed and closed overrides and reduced to [0, 2*pi) as ``Pose``
+    reduces them, and a segment's radius is its first visit's gene.
     """
     keys = chromosome.keys.tolist()
     order = sorted([i for i, k in enumerate(keys) if k >= 0.0], key=keys.__getitem__)
@@ -86,7 +86,7 @@ def _visits(chromosome: Chromosome, scenario: Scenario) -> tuple[list, list, lis
     if scenario.closed:
         thetas[-1] = thetas[0]
     rhos = chromosome.rhos.tolist()
-    return order, [thetas[i] for i in order], [rhos[i] for i in order[:-1]]
+    return order, [thetas[i] % TWO_PI for i in order], [rhos[i] for i in order[:-1]]
 
 
 def decode(chromosome: Chromosome, scenario: Scenario) -> TourPlan:
@@ -101,12 +101,11 @@ def decode(chromosome: Chromosome, scenario: Scenario) -> TourPlan:
 def _edge_keys(order, headings, radii) -> list[tuple]:
     """Each segment's edge key: (from index, from heading, to index, to heading, radius).
 
-    Headings are reduced to [0, 2*pi) as ``Pose`` reduces them, so one curve
-    has one key whichever route its headings came by.
+    Headings come reduced to [0, 2*pi), from ``_visits`` or a ``Pose``, so one
+    curve has one key whichever route its headings came by.
     """
     _check_chain(len(order), len(radii))
-    h = [th % TWO_PI for th in headings]
-    return [(order[k], h[k], order[k + 1], h[k + 1], r) for k, r in enumerate(radii)]
+    return [(order[k], headings[k], order[k + 1], headings[k + 1], r) for k, r in enumerate(radii)]
 
 
 class EdgeTable:
@@ -415,13 +414,12 @@ def mutate(
 
 def align_headings(chromosome: Chromosome, scenario: Scenario) -> Chromosome:
     """Point interior headings from the previous to the next visited position."""
-    plan = decode(chromosome, scenario)
+    order = _visits(chromosome, scenario)[0]
+    locations = scenario.locations
     out = chromosome.copy()
-    for pos in range(1, len(plan.order) - 1):
-        prev_loc = scenario.locations[plan.order[pos - 1]]
-        next_loc = scenario.locations[plan.order[pos + 1]]
-        heading = math.atan2(next_loc.y - prev_loc.y, next_loc.x - prev_loc.x)
-        out.thetas[plan.order[pos]] = heading % TWO_PI
+    for prev, i, nxt in zip(order, order[1:], order[2:]):
+        a, b = locations[prev], locations[nxt]
+        out.thetas[i] = math.atan2(b.y - a.y, b.x - a.x) % TWO_PI
     return out
 
 
@@ -457,8 +455,8 @@ class EvolveResult:
 class _Member(NamedTuple):
     """An archive entry; ``evolve`` decodes the final archive into ``Solution``s.
 
-    ``tour`` is (order, headings reduced to [0, 2*pi), radii): two members'
-    tours are equal exactly when their decoded plans are.
+    ``tour`` is ``_visits``' (order, headings, radii): two members' tours are
+    equal exactly when their decoded plans are.
     """
 
     fitness: Fitness
@@ -467,9 +465,7 @@ class _Member(NamedTuple):
 
 
 def _member(chromosome: Chromosome, fitness: Fitness, scenario: Scenario) -> _Member:
-    order, headings, radii = _visits(chromosome, scenario)
-    tour = (order, [th % TWO_PI for th in headings], radii)
-    return _Member(fitness, chromosome.copy(), tour)
+    return _Member(fitness, chromosome.copy(), _visits(chromosome, scenario))
 
 
 # sort keys of archive members
@@ -555,11 +551,11 @@ def _niche_select(last_front, need, assoc, dist, counts, rng):
 
 
 def _environmental_selection(pop, fits, params, rng):
-    """Truncate parents+offspring to population_size; returns selection state.
+    """Truncate parents+offspring to population_size.
 
-    The returned rank/diversity arrays drive binary tournaments: smaller
-    tuples win (rank, then niche count or negative crowding, then a
-    distance tie-break).
+    Returns the survivors, their fitnesses and their tournament keys: tuples
+    of rank, then niche count or negative crowding distance, then a distance
+    tie-break, where the smaller key wins.
     """
     n = params.population_size
     fronts = non_dominated_sort(fits)
@@ -613,13 +609,14 @@ def _environmental_selection(pop, fits, params, rng):
 
     chromosomes = [pop[i] for i in selected]
     sel_fits = [fits[i] for i in selected]
-    return chromosomes, sel_fits, ranks, div, tiebreak
+    return chromosomes, sel_fits, list(zip(ranks.tolist(), div.tolist(), tiebreak.tolist()))
 
 
-def _tournament(rng, n, key):
-    a = int(rng.integers(n))
-    b = int(rng.integers(n))
-    return a if key(a) <= key(b) else b
+def _tournament(rng, keys):
+    """Index of the better of two uniformly drawn members: the one with the smaller key."""
+    a = int(rng.integers(len(keys)))
+    b = int(rng.integers(len(keys)))
+    return a if keys[a] <= keys[b] else b
 
 
 def _best_survivors(pop, fits, offspring, off_fits, archive, scenario, params, rng):
@@ -630,24 +627,22 @@ def _best_survivors(pop, fits, offspring, off_fits, archive, scenario, params, r
     pop, fits = [merged[i] for i in order], [merged_fits[i] for i in order]
     if not archive or rank(fits[0]) < rank(archive[0].fitness):
         archive = [_member(pop[0], fits[0], scenario)]
-    return pop, fits, archive, lambda i: (-fits[i].reward,)
+    return pop, fits, archive, [(-f.reward,) for f in fits]
 
 
 def _pareto_survivors(pop, fits, offspring, off_fits, archive, scenario, params, rng):
     """Two objectives: archive the offspring, then select among parents and offspring."""
     archive = _update_archive(archive, offspring, off_fits, scenario)
-    pop, fits, ranks, div, tiebreak = _environmental_selection(
-        pop + offspring, fits + off_fits, params, rng
-    )
-    return pop, fits, archive, lambda i: (ranks[i], div[i], tiebreak[i])
+    pop, fits, keys = _environmental_selection(pop + offspring, fits + off_fits, params, rng)
+    return pop, fits, archive, keys
 
 
-def _variation(pop, key, scenario, params, rng, table) -> list[Chromosome]:
+def _variation(pop, keys, scenario, params, rng, table) -> list[Chromosome]:
     """population_size children of tournament-picked parents: crossover, mutation, repair."""
     offspring: list[Chromosome] = []
     while len(offspring) < params.population_size:
-        pa = pop[_tournament(rng, len(pop), key)]
-        pb = pop[_tournament(rng, len(pop), key)]
+        pa = pop[_tournament(rng, keys)]
+        pb = pop[_tournament(rng, keys)]
         if rng.random() < params.crossover_prob:
             ca, cb = crossover_two_point(pa, pb, rng)
             ca = repair_budget(ca, scenario, rng, table)
@@ -674,18 +669,18 @@ def evolve(
     survive = _best_survivors if params.single_objective else _pareto_survivors
     ref_point = (-1.0, scenario.field.cap * scenario.t_max + 1.0)
     table = EdgeTable(scenario, params.exposure_step)
-    pop, fits, archive, key = [], [], [], None
+    pop, fits, archive, keys = [], [], [], None
     stats, evaluations, budget_violations = [], 0, 0
 
     for gen in range(params.generations + 1):
         if gen == 0:
             offspring = initialize_population(scenario, params, rng, table)
         else:
-            offspring = _variation(pop, key, scenario, params, rng, table)
+            offspring = _variation(pop, keys, scenario, params, rng, table)
         off_fits = evaluate_all(offspring, scenario, params.exposure_step, table)
         evaluations += len(offspring)
         budget_violations += sum(f.length > scenario.t_max + 1e-9 for f in off_fits)
-        pop, fits, archive, key = survive(
+        pop, fits, archive, keys = survive(
             pop, fits, offspring, off_fits, archive, scenario, params, rng
         )
 

@@ -269,7 +269,7 @@ def family_oracle_length(start: Pose, end: Pose, rho: float, family: str) -> flo
     for segs in candidates:
         if _endpoint_error(start, end, family, segs, rho) > 1e-6 * scale:
             continue
-        total = sum(segs)
+        total = segs[0] + segs[1] + segs[2]  # left to right: from Python 3.12 ``sum`` compensates
         if best is None or total < best:
             best = total
     return best

@@ -126,7 +126,16 @@ def save_scenario(sc: Scenario) -> str:
     return json.dumps(scenario_to_dict(sc), indent=2) + "\n"
 
 
-def scenario_from_dict(data: dict) -> Scenario:
+def scenario_from_dict(data) -> Scenario:
+    """The scenario a decoded JSON document describes; any fault raises ``ScenarioError``."""
+    if not isinstance(data, dict):
+        raise ScenarioError("scenario: need a JSON object")
+    closed = data.get("closed", False)
+    if not isinstance(closed, bool):
+        raise ScenarioError("closed: need true or false")
+    fixed = data.get("fixed_headings", {})
+    if not isinstance(fixed, dict):
+        raise ScenarioError("fixed_headings: need an object of location id to heading")
     try:
         sensing = data["sensing"]
         sensor_field = SensorField(
@@ -151,9 +160,6 @@ def scenario_from_dict(data: dict) -> Scenario:
             + [loc for loc in locations if loc.id not in (start_id, goal_id)]
             + [by_id[goal_id]]
         )
-        fixed = None
-        if data.get("fixed_headings"):
-            fixed = {int(k): float(v) for k, v in data["fixed_headings"].items()}
         return Scenario(
             name=str(data["name"]),
             locations=tuple(ordered),
@@ -161,14 +167,15 @@ def scenario_from_dict(data: dict) -> Scenario:
             t_max=float(data["t_max"]),
             rho_min=float(data["rho_min"]),
             rho_max=float(data["rho_max"]),
-            closed=bool(data.get("closed", False)),
-            fixed_headings=fixed,
+            closed=closed,
+            fixed_headings={int(k): float(v) for k, v in fixed.items()} if fixed else None,
         )
     except ScenarioError:
         raise
     except KeyError as exc:
         raise ScenarioError(f"missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    # OverflowError: an id of 1e400 (infinity) or an integer beyond float range
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"invalid value: {exc}") from exc
 
 
@@ -177,10 +184,9 @@ def load_scenario(content: bytes | str) -> Scenario:
         if isinstance(content, bytes):
             content = content.decode("utf-8")
         data = json.loads(content)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError: bad UTF-8, bad JSON, or an integer past int's digit limit
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError("top level must be an object")
     return scenario_from_dict(data)
 
 

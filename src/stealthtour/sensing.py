@@ -66,7 +66,10 @@ def sensing_value(field: SensorField, node_index: int, x) -> float:
 
 def field_intensity(field: SensorField, x) -> float:
     """Sum of all nodes' sensing values at a point."""
-    return sum(sensing_value(field, i, x) for i in range(len(field.nodes)))
+    total = 0.0  # left to right: from Python 3.12 ``sum`` compensates
+    for i in range(len(field.nodes)):
+        total += sensing_value(field, i, x)
+    return total
 
 
 def intensity_many(field: SensorField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -78,8 +81,9 @@ def intensity_many(field: SensorField, xs: np.ndarray, ys: np.ndarray) -> np.nda
     dy = ys[:, None] - nodes[None, :, 1]
     # alpha / hypot(dx, dy)**mu clamped at cap, computed in place in one buffer
     np.hypot(vals, dy, out=vals)
-    vals **= field.mu
-    with np.errstate(divide="ignore"):
+    # a far point's distance**mu may overflow to inf, and its value be 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        vals **= field.mu
         np.divide(field.alpha, vals, out=vals)
     np.minimum(vals, field.cap, out=vals)
     return vals.sum(axis=1)

@@ -171,6 +171,35 @@ def test_solve_scenario_file_beyond_workspace_bound_exits_one(tmp_path, capsys, 
     assert not (tmp_path / "front.csv").exists()
 
 
+def assert_one_error_line(capsys, rc, *absent):
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not any(path.exists() for path in absent)
+
+
+HUGE_INT = 10**401  # past float range; json writes and reads it exactly
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda d: d["locations"][3].update(id=math.inf),  # json reads 1e400 as this infinity
+    lambda d: d.update(start_id=math.inf),
+    lambda d: d.update(t_max=HUGE_INT),
+    lambda d: d.update(fixed_headings=[1, 2]),
+    lambda d: d.update(closed="no"),
+], ids=["infinite-id", "infinite-start_id", "huge-int-t_max", "list-fixed_headings",
+        "string-closed"])
+def test_solve_malformed_scenario_file_exits_one(tmp_path, capsys, spoil):
+    # an open scenario whose start and goal coincide: read as true, "closed": "no" would load
+    data = dict(scenario_to_dict(generate_instance("grid", 2, closed=True)), closed=False)
+    spoil(data)
+    sc_file = tmp_path / "sc.json"
+    sc_file.write_text(json.dumps(data))
+    rc = main(["solve", "--scenario", str(sc_file), "--population", "4", "--generations", "0",
+               "--out-dir", str(tmp_path)])
+    assert_one_error_line(capsys, rc, tmp_path / "front.csv")
+
+
 def test_solve_quadrature_beyond_bound_exits_one(tmp_path, capsys):
     rc = main(["solve", "--instance", "cross", "--population", "4", "--generations", "0",
                "--exposure-step", "1e-300", "--out-dir", str(tmp_path)])
@@ -322,6 +351,25 @@ def test_plot_bad_report_exits_one_without_svg(tmp_path, capsys, how):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda r: r["front"][0].pop("reward"),
+    lambda r: r.pop("scenario"),
+    lambda r: r.update(scenario=[1, 2]),
+    lambda r: r["scenario"].update(fixed_headings=[1, 2]),
+    lambda r: r["scenario"].update(t_max=HUGE_INT),
+    lambda r: r["scenario"]["locations"][1].update(id=math.inf),
+], ids=["member-without-reward", "no-scenario", "list-scenario", "list-fixed_headings",
+        "huge-int-t_max", "infinite-id"])
+def test_plot_report_with_bad_member_or_scenario_exits_one(tmp_path, capsys, spoil):
+    report = json.loads(run_solve(tmp_path)[1])
+    spoil(report)
+    (tmp_path / "bad.json").write_text(json.dumps(report))
+    out = tmp_path / "p.svg"
+    capsys.readouterr()
+    rc = main(["plot", "--report", str(tmp_path / "bad.json"), "--index", "0", "--out", str(out)])
+    assert_one_error_line(capsys, rc, out)
 
 
 def test_plot_straight_tour_chord_length(tmp_path, capsys):

@@ -12,11 +12,13 @@ from stealthtour import evolution, geometry, oracles, sensing
 from stealthtour.evolution import (
     Chromosome, EdgeTable, decode, evaluate, evaluate_all, evolve, repair_budget,
 )
-from stealthtour.geometry import Pose, build_tour
-from stealthtour.oracles import decoded_tour, dubins_shortest_reference, total_reward
+from stealthtour.geometry import FAMILIES, Pose, build_tour
+from stealthtour.oracles import (
+    decoded_tour, dubins_shortest_reference, family_oracle_length, total_reward,
+)
 from stealthtour.pareto import Fitness
 from stealthtour.scenario import SolverParams, generate_instance, with_overrides
-from stealthtour.sensing import exposure
+from stealthtour.sensing import exposure, field_intensity
 
 STEP = 0.5
 CROSS_1 = generate_instance("cross", 1)
@@ -180,8 +182,14 @@ def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
               Pose(*rng.uniform(-20.0, 20.0, 2), rng.uniform(0.0, 2.0 * np.pi)),
               rng.uniform(0.5, 4.0)) for _ in range(300)]
     curves = [dubins_shortest_reference(*pair) for pair in pairs]
+    families = [(*pair, fam) for pair in pairs for fam in FAMILIES]
+    family_lengths = [family_oracle_length(*args) for args in families]
+    points = rng.uniform((0.0, 0.0), (30.0, 22.0), (10_000, 2)).tolist()
+    intensities = [field_intensity(CROSS_1.field, x) for x in points]
     for module in (evolution, sensing, oracles):
         monkeypatch.setattr(module, "sum", math.fsum, raising=False)
     assert evaluate_all(pool, CROSS_1, STEP) == fits
     assert exposure(CROSS_1.field, tour, STEP) == tour_exposure
     assert [dubins_shortest_reference(*pair) for pair in pairs] == curves
+    assert [family_oracle_length(*args) for args in families] == family_lengths
+    assert [field_intensity(CROSS_1.field, x) for x in points] == intensities

@@ -2,9 +2,10 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stealthtour.cli import main
 from stealthtour.evolution import InfeasibleScenarioError, check_tour, evolve
 from stealthtour.scenario import (
     Scenario,
@@ -14,6 +15,7 @@ from stealthtour.scenario import (
     generate_instance,
     load_scenario,
     save_scenario,
+    scenario_from_dict,
     with_overrides,
 )
 from stealthtour.oracles import total_reward
@@ -188,15 +190,59 @@ def test_numbers_beyond_workspace_bound_rejected(change):
         load_scenario(json.dumps(dict(MINIMAL, **change)))
 
 
+HUGE_INT = 10**401  # past float range; json writes and reads it exactly
+
+
+def spoiled(**change) -> str:
+    return json.dumps(dict(MINIMAL, **change))
+
+
+@pytest.mark.parametrize("text, match", [
+    (spoiled(start_id=math.inf), "invalid value"),
+    (spoiled().replace('"goal_id": 1', '"goal_id": 1e400'), "invalid value"),
+    (spoiled(locations=[dict(MINIMAL["locations"][0], id=-math.inf), MINIMAL["locations"][1]]),
+     "invalid value"),
+    (spoiled(t_max=HUGE_INT), "invalid value"),
+    (spoiled(locations=[dict(MINIMAL["locations"][0], x=-HUGE_INT), MINIMAL["locations"][1]]),
+     "invalid value"),
+    (spoiled(sensing={"alpha": HUGE_INT, "mu": 2.0, "cap": 30.0}), "invalid value"),
+    (spoiled().replace('"t_max": 25.0', '"t_max": ' + "9" * 5000), "JSON"),
+    (spoiled(fixed_headings=[1, 2]), "fixed_headings: need an object"),
+    (spoiled(fixed_headings=None), "fixed_headings: need an object"),
+    (spoiled(closed="no"), "closed: need true or false"),
+    (spoiled(closed=1), "closed: need true or false"),
+], ids=["infinite-start_id", "1e400-goal_id", "infinite-id", "huge-int-t_max", "huge-int-x",
+        "huge-int-alpha", "5000-digit-t_max", "list-fixed_headings", "null-fixed_headings",
+        "string-closed", "number-closed"])
+def test_out_of_range_and_mistyped_values_raise_scenario_error(text, match):
+    with pytest.raises(ScenarioError, match=match):
+        load_scenario(text)
+
+
+@pytest.mark.parametrize("data", [[], None, "mini", [MINIMAL]])
+def test_scenario_from_dict_rejects_a_non_object(data):
+    with pytest.raises(ScenarioError, match="need a JSON object"):
+        scenario_from_dict(data)
+
+
 # Finite values come from +-1e3, or lie far past the workspace bound (+-1e300, 1e-300),
 # where coordinates, budget and radii must be rejected by name.
 ANY_NUMBER = st.floats(-1e3, 1e3) | st.sampled_from(
     [0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300])
+# Any JSON value, with integers past float range and infinities drawn often.
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([HUGE_INT, -HUGE_INT, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
 
 
 @st.composite
 def scenario_dicts(draw):
-    """Scenario objects in which one number may be zero, negative, NaN or infinite."""
+    """Scenario objects in which one number may be zero, negative, NaN or infinite,
+    and one top-level or location field may hold any JSON value."""
     count = draw(st.integers(2, 6))
     coord = st.floats(0.0, 30.0)
     rewards = [0.0] + [draw(st.floats(0.0, 1.0)) for _ in range(count - 2)] + [0.0]
@@ -226,6 +272,12 @@ def scenario_dicts(draw):
     if spoil is not None:
         owner, key = numbers[spoil]
         owner[key] = draw(ANY_NUMBER)
+    fields = [(data, k) for k in (*data, "fixed_headings")]
+    fields += [(loc, k) for loc in locations for k in ("id", "x", "y", "reward")]
+    spoil = draw(st.sampled_from([None, *range(len(fields))]))
+    if spoil is not None:
+        owner, key = fields[spoil]
+        owner[key] = draw(ANY_JSON)
     return data
 
 
@@ -245,3 +297,14 @@ def test_random_scenario_loads_and_solves_or_names_its_fault(data):
         return
     for sol in result.front:
         assert check_tour(sc, sol.plan, sol.fitness.length) == []
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=scenario_dicts())
+def test_solve_any_scenario_file_exits_zero_or_one(tmp_path, capsys, data):
+    sc_file = tmp_path / "sc.json"
+    sc_file.write_text(json.dumps(data))
+    rc = main(["solve", "--scenario", str(sc_file), "--population", "8", "--generations", "2",
+               "--exposure-step", "0.5", "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 0 and err == "" or rc == 1 and err.startswith(("error: ", "infeasible scenario: "))

@@ -45,6 +45,12 @@ def test_sensing_value_monotone_and_bounded():
         prev = v
 
 
+def test_intensity_under_a_huge_power_is_zero_far_away_and_capped_near():
+    # 20**500 overflows to inf, without a warning; 0.5**500 underflows to 0
+    vals = intensity_many(one_node(mu=500.0), np.array([20.0, 0.5]), np.array([0.0, 0.0]))
+    assert vals.tolist() == [0.0, 30.0]
+
+
 def test_field_parameter_validation():
     with pytest.raises(ValueError):
         SensorField(nodes=(), alpha=0.0, mu=2.0, cap=30.0)
