@@ -25,6 +25,7 @@ from .scenario import (
     ScenarioError,
     SolverParams,
     generate_instance,
+    json_number,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -52,17 +53,12 @@ def _front_member(report, index: int):
 
 def _stored_fitness(member) -> Fitness:
     """The (reward, exposure, length) of a stored front member, each a finite number."""
-    values = []
-    for name in Fitness._fields:
-        value = member.get(name)
-        try:
-            ok = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):  # not a number, or an int beyond float range
-            ok = False
-        if not ok:
-            raise ScenarioError(f"front member: {name} {value!r} is not a finite number")
-        values.append(float(value))
-    return Fitness(*values)
+    fitness = Fitness(*(json_number(f"front member: {name}", member.get(name))
+                        for name in Fitness._fields))
+    for name, value in zip(Fitness._fields, fitness):
+        if not math.isfinite(value):
+            raise ScenarioError(f"front member: {name} {value!r} is not finite")
+    return fitness
 
 
 def _plot_indices(spec: str | None) -> list[int] | None:
@@ -101,19 +97,7 @@ def _add_scenario_args(parser):
 
 
 def _params_from_args(args) -> SolverParams:
-    return SolverParams(
-        population_size=args.population,
-        generations=args.generations,
-        crossover_prob=args.crossover_prob,
-        mutation_prob_individual=args.mutation_prob_individual,
-        mutation_prob_gene=args.mutation_prob_gene,
-        von_mises_kappa=args.kappa,
-        selection=args.selection,
-        seed=args.seed,
-        single_objective=args.single_objective,
-        alignment_mutation=args.align,
-        exposure_step=args.exposure_step,
-    )
+    return SolverParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SolverParams)})
 
 
 def cmd_solve(args) -> int:
@@ -242,19 +226,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the evolutionary solver")
     _add_scenario_args(p_solve)
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--population", type=int, default=400)
-    p_solve.add_argument("--generations", type=int, default=400)
-    p_solve.add_argument("--crossover-prob", type=float, default=0.8)
-    p_solve.add_argument("--mutation-prob-individual", type=float, default=0.4)
-    p_solve.add_argument("--mutation-prob-gene", type=float, default=0.02)
-    p_solve.add_argument("--kappa", type=float, default=2.0)
+    defaults = SolverParams()
+    p_solve.add_argument("--seed", type=int, default=defaults.seed)
+    p_solve.add_argument("--population", dest="population_size", type=int,
+                         default=defaults.population_size)
+    p_solve.add_argument("--generations", type=int, default=defaults.generations)
+    p_solve.add_argument("--crossover-prob", type=float, default=defaults.crossover_prob)
+    p_solve.add_argument("--mutation-prob-individual", type=float,
+                         default=defaults.mutation_prob_individual)
+    p_solve.add_argument("--mutation-prob-gene", type=float, default=defaults.mutation_prob_gene)
+    p_solve.add_argument("--kappa", dest="von_mises_kappa", type=float,
+                         default=defaults.von_mises_kappa)
     p_solve.add_argument("--selection", choices=("reference-point", "crowding-distance"),
-                         default="reference-point")
+                         default=defaults.selection)
     p_solve.add_argument("--single-objective", action="store_true")
-    p_solve.add_argument("--align", action="store_true",
+    p_solve.add_argument("--align", dest="alignment_mutation", action="store_true",
                          help="align interior headings after mutation")
-    p_solve.add_argument("--exposure-step", type=float, default=0.05)
+    p_solve.add_argument("--exposure-step", type=float, default=defaults.exposure_step)
     p_solve.add_argument("--out-dir", default=".")
     p_solve.add_argument("--plot", default=None,
                          help="comma-separated front indices to render, or 'all'")
@@ -266,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--tour", help="tour JSON file with ids, headings, radii")
     src.add_argument("--report", help="solve report to read the tour from")
     p_eval.add_argument("--index", type=int, default=0)
-    p_eval.add_argument("--exposure-step", type=float, default=0.05)
+    p_eval.add_argument("--exposure-step", type=float, default=defaults.exposure_step)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_oracle = sub.add_parser("oracle", help="run independent verification checks")

@@ -5,16 +5,18 @@ a heading and a turning radius.  Variation is two-point crossover over
 interior genes plus per-gene mutation (fresh key, von Mises heading kick,
 fresh radius); feasibility is restored by randomly dropping visits until
 the tour fits the travel budget.  ``evolve`` runs one generational step
-for every generation, the initial population included: score the
-offspring, then survive.  ``_pareto_survivors`` selects NSGA-style, with
-either reference-point niching or crowding distance, and keeps an elitist
-archive of the best (reward, exposure) front seen so far, sorted by fitness
-and updated by bisection; ``_best_survivors`` is the single-objective
-baseline, which ranks by reward and keeps the one best tour.  Only the final
-archive is decoded into plans.  Scoring and repair read each Dubins curve's
-length and exposure from a per-run ``EdgeTable``; ``evaluate_all`` scores a
-whole generation in one pass, integrating its new curves' exposures with
-one ``sensing.row_exposures`` call.
+for every generation, the initial population included: decode each child
+once, score the decoded tours in one pass, then survive.  One record,
+``_Member`` (fitness, chromosome, tour), goes through the loop: the
+population, the survivors and the archive share members as they are.
+``_pareto_survivors`` selects NSGA-style, with either reference-point
+niching or crowding distance, and keeps an elitist archive of the best
+(reward, exposure) front seen so far, sorted by fitness and updated by
+bisection; ``_best_survivors`` is the single-objective baseline, which ranks
+by reward and keeps the one best tour.  Only the final archive is decoded
+into plans.  Scoring and repair read each Dubins curve's length and
+exposure from a per-run ``EdgeTable``; a scoring pass integrates its new
+curves' exposures with one ``sensing.row_exposures`` call.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import sensing
 from .geometry import Pose, dubins_solve
 from .geometry import build_tour  # noqa: F401  (a name perfbench/tracing.py wraps)
 from .pareto import Fitness, crowding_distance, dominates, hypervolume_2d, non_dominated_sort
-from .scenario import KAPPA_RANGE, Scenario, ScenarioError, SolverParams
+from .scenario import KAPPA_RANGE, Scenario, ScenarioError, SolverParams, json_numbers
 from .sensing import exposure  # noqa: F401  (a name perfbench/tracing.py wraps)
 
 TWO_PI = 2.0 * math.pi
@@ -230,23 +232,10 @@ def _fitness(order, keys, table: EdgeTable) -> Fitness:
     return Fitness(reward, exposed, length)
 
 
-def _numbers(name: str, values, kind=float) -> tuple:
-    """``values`` converted by ``kind``: a list of ints, or of ints and floats."""
-    allowed = int if kind is int else (int, float)
-    if not isinstance(values, (list, tuple)) or any(
-        isinstance(v, bool) or not isinstance(v, allowed) for v in values
-    ):
-        raise ScenarioError(f"{name}: need a list of {kind.__name__}s")
-    try:
-        return tuple(map(kind, values))
-    except OverflowError as exc:
-        raise ScenarioError(f"{name}: {exc}") from exc
-
-
 def plan_from_tour(scenario: Scenario, ids, headings, radii) -> TourPlan:
     """A stored tour (location ids, headings, segment radii) as a plan to score."""
-    ids = _numbers("ids", ids, int)
-    headings, radii = _numbers("headings", headings), _numbers("radii", radii)
+    ids = json_numbers("ids", ids, int)
+    headings, radii = json_numbers("headings", headings), json_numbers("radii", radii)
     if len(ids) < 2:
         raise ScenarioError("tour needs at least 2 locations")
     if len(headings) != len(ids):
@@ -453,19 +442,19 @@ class EvolveResult:
 
 
 class _Member(NamedTuple):
-    """An archive entry; ``evolve`` decodes the final archive into ``Solution``s.
+    """One individual of the generational loop; ``evolve`` decodes the final archive
+    into ``Solution``s.
 
-    ``tour`` is ``_visits``' (order, headings, radii): two members' tours are
-    equal exactly when their decoded plans are.
+    ``tour`` is ``_visits``' (order, headings, radii) of ``chromosome``, decoded
+    once when the member is scored: two members' tours are equal exactly when
+    their decoded plans are.  Variation copies a chromosome before it changes
+    one, so a member's chromosome never changes, and the population, the
+    survivors and the archive share members as they are.
     """
 
     fitness: Fitness
     chromosome: Chromosome
     tour: tuple
-
-
-def _member(chromosome: Chromosome, fitness: Fitness, scenario: Scenario) -> _Member:
-    return _Member(fitness, chromosome.copy(), _visits(chromosome, scenario))
 
 
 # sort keys of archive members
@@ -474,8 +463,9 @@ _by_exposure = attrgetter("fitness.exposure")
 _by_fitness = attrgetter("fitness")
 
 
-def _update_archive(archive: list[_Member], population, fits, scenario) -> list[_Member]:
-    """Insert candidates into the elitist non-dominated archive, kept sorted by fitness.
+def _update_archive(archive: list[_Member], members) -> list[_Member]:
+    """Insert new members, as they are, into the elitist non-dominated archive,
+    kept sorted by fitness.
 
     Along a non-dominated set sorted by reward, exposure rises strictly with
     reward and members of equal reward share one exposure (Kung, Luccio &
@@ -488,7 +478,8 @@ def _update_archive(archive: list[_Member], population, fits, scenario) -> list[
     members of equal fitness, where a stable sort of the arrivals puts it.
     """
     kept = list(archive)
-    for ch, fit in zip(population, fits):
+    for member in members:
+        fit = member.fitness
         lo = bisect_left(kept, fit.reward, key=_by_reward)
         above = kept[lo].fitness if lo < len(kept) else None
         if above is not None and dominates(above, fit):
@@ -500,7 +491,6 @@ def _update_archive(archive: list[_Member], population, fits, scenario) -> list[
         del kept[start:stop]
         first = bisect_left(kept, fit, key=_by_fitness)
         end = bisect_right(kept, fit, first, key=_by_fitness)
-        member = _member(ch, fit, scenario)
         if any(m.tour == member.tour for m in kept[first:end]):
             continue
         kept.insert(end, member)
@@ -550,22 +540,20 @@ def _niche_select(last_front, need, assoc, dist, counts, rng):
     return chosen
 
 
-def _environmental_selection(pop, fits, params, rng):
+def _environmental_selection(members, params, rng):
     """Truncate parents+offspring to population_size.
 
-    Returns the survivors, their fitnesses and their tournament keys: tuples
-    of rank, then niche count or negative crowding distance, then a distance
-    tie-break, where the smaller key wins.
+    Returns the survivors and their tournament keys: tuples of rank, then
+    niche count or negative crowding distance, then a distance tie-break,
+    where the smaller key wins.
     """
     n = params.population_size
+    fits = [m.fitness for m in members]
     fronts = non_dominated_sort(fits)
     selected: list[int] = []
-    rank_of = {}
-    for r, front in enumerate(fronts):
-        for i in front:
-            rank_of[i] = r
-
-    taken = []  # the fronts taken whole, then the part of the last one chosen
+    # the fronts taken whole, then the part of the last one chosen; a
+    # survivor's rank is the index of its part
+    taken = []
     last_front = None
     for front in fronts:
         if len(selected) + len(front) <= n:
@@ -579,13 +567,9 @@ def _environmental_selection(pop, fits, params, rng):
         if last_front is not None:
             cd = crowding_distance(fits, last_front)
             order = sorted(range(len(last_front)), key=lambda k: (-cd[k], last_front[k]))
-            chosen = [last_front[k] for k in order[: n - len(selected)]]
-            selected.extend(chosen)
-            taken.append(chosen)
-        # the selected members' layers are the taken fronts, in selection
-        # order; the negated distance makes smaller better
-        div = -np.concatenate([crowding_distance(fits, front) for front in taken])
-        ranks = np.array([rank_of[i] for i in selected])
+            taken.append([last_front[k] for k in order[: n - len(selected)]])
+        # the negated distance makes smaller better
+        div = -np.concatenate([crowding_distance(fits, part) for part in taken])
         tiebreak = np.zeros(n)
     else:
         # reference-point niching, normalized by the first front's span
@@ -601,15 +585,14 @@ def _environmental_selection(pop, fits, params, rng):
         for i in selected:
             counts[assoc[i]] += 1
         if last_front is not None:
-            chosen = _niche_select(last_front, n - len(selected), assoc, dist, counts, rng)
-            selected.extend(chosen)
-        ranks = np.array([rank_of[i] for i in selected])
+            taken.append(_niche_select(last_front, n - len(selected), assoc, dist, counts, rng))
+        selected = [i for part in taken for i in part]
         div = counts[assoc[selected]].astype(float)
         tiebreak = dist[selected]
 
-    chromosomes = [pop[i] for i in selected]
-    sel_fits = [fits[i] for i in selected]
-    return chromosomes, sel_fits, list(zip(ranks.tolist(), div.tolist(), tiebreak.tolist()))
+    ranks = [r for r, part in enumerate(taken) for _ in part]
+    survivors = [members[i] for part in taken for i in part]
+    return survivors, list(zip(ranks, div.tolist(), tiebreak.tolist()))
 
 
 def _tournament(rng, keys):
@@ -619,30 +602,28 @@ def _tournament(rng, keys):
     return a if keys[a] <= keys[b] else b
 
 
-def _best_survivors(pop, fits, offspring, off_fits, archive, scenario, params, rng):
+def _best_survivors(pop, offspring, archive, params, rng):
     """Single objective: keep the most reward, then the shortest tour; archive the best seen."""
-    merged, merged_fits = pop + offspring, fits + off_fits
-    rank = lambda f: (-f.reward, f.length)
-    order = sorted(range(len(merged)), key=lambda i: rank(merged_fits[i]))[: params.population_size]
-    pop, fits = [merged[i] for i in order], [merged_fits[i] for i in order]
-    if not archive or rank(fits[0]) < rank(archive[0].fitness):
-        archive = [_member(pop[0], fits[0], scenario)]
-    return pop, fits, archive, [(-f.reward,) for f in fits]
+    rank = lambda m: (-m.fitness.reward, m.fitness.length)
+    pop = sorted(pop + offspring, key=rank)[: params.population_size]
+    if not archive or rank(pop[0]) < rank(archive[0]):
+        archive = [pop[0]]
+    return pop, archive, [(-m.fitness.reward,) for m in pop]
 
 
-def _pareto_survivors(pop, fits, offspring, off_fits, archive, scenario, params, rng):
+def _pareto_survivors(pop, offspring, archive, params, rng):
     """Two objectives: archive the offspring, then select among parents and offspring."""
-    archive = _update_archive(archive, offspring, off_fits, scenario)
-    pop, fits, keys = _environmental_selection(pop + offspring, fits + off_fits, params, rng)
-    return pop, fits, archive, keys
+    archive = _update_archive(archive, offspring)
+    pop, keys = _environmental_selection(pop + offspring, params, rng)
+    return pop, archive, keys
 
 
 def _variation(pop, keys, scenario, params, rng, table) -> list[Chromosome]:
     """population_size children of tournament-picked parents: crossover, mutation, repair."""
     offspring: list[Chromosome] = []
     while len(offspring) < params.population_size:
-        pa = pop[_tournament(rng, keys)]
-        pb = pop[_tournament(rng, keys)]
+        pa = pop[_tournament(rng, keys)].chromosome
+        pb = pop[_tournament(rng, keys)].chromosome
         if rng.random() < params.crossover_prob:
             ca, cb = crossover_two_point(pa, pb, rng)
             ca = repair_budget(ca, scenario, rng, table)
@@ -669,20 +650,21 @@ def evolve(
     survive = _best_survivors if params.single_objective else _pareto_survivors
     ref_point = (-1.0, scenario.field.cap * scenario.t_max + 1.0)
     table = EdgeTable(scenario, params.exposure_step)
-    pop, fits, archive, keys = [], [], [], None
+    pop, archive, keys = [], [], None
     stats, evaluations, budget_violations = [], 0, 0
 
     for gen in range(params.generations + 1):
         if gen == 0:
-            offspring = initialize_population(scenario, params, rng, table)
+            children = initialize_population(scenario, params, rng, table)
         else:
-            offspring = _variation(pop, keys, scenario, params, rng, table)
-        off_fits = evaluate_all(offspring, scenario, params.exposure_step, table)
+            children = _variation(pop, keys, scenario, params, rng, table)
+        # each child is decoded once, and its member keeps the tour
+        tours = [_visits(ch, scenario) for ch in children]
+        fitnesses = _score_tours(tours, scenario, params.exposure_step, table)
+        offspring = [_Member(f, ch, t) for f, ch, t in zip(fitnesses, children, tours)]
         evaluations += len(offspring)
-        budget_violations += sum(f.length > scenario.t_max + 1e-9 for f in off_fits)
-        pop, fits, archive, keys = survive(
-            pop, fits, offspring, off_fits, archive, scenario, params, rng
-        )
+        budget_violations += sum(m.fitness.length > scenario.t_max + 1e-9 for m in offspring)
+        pop, archive, keys = survive(pop, offspring, archive, params, rng)
 
         front_fits = [m.fitness for m in archive]
         # with several sensors a tour can be more exposed than cap * t_max; such

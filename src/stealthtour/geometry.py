@@ -161,8 +161,10 @@ def sample_many(path: DubinsPath, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
     s = np.clip(s, 0.0, path.length)
 
     seg = path.seg_params
-    ends = np.array([seg[0], seg[0] + seg[1], path.length])
-    idx = np.minimum(np.searchsorted(ends, s, side="right"), 2)
+    starts = np.array([0.0, seg[0], seg[0] + seg[1]])
+    # a point's segment is the count of segment ends at or below it, whatever
+    # their order: rounding can put seg0 + seg1 past the length
+    idx = (s >= starts[1]).astype(np.intp) + (s >= starts[2])
 
     # entry pose of each of the three segments
     entries = [(path.start.x, path.start.y, path.start.theta)]
@@ -173,7 +175,6 @@ def sample_many(path: DubinsPath, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
     xs = np.empty_like(s)
     ys = np.empty_like(s)
     ths = np.empty_like(s)
-    starts = np.array([0.0, seg[0], seg[0] + seg[1]])
     for k in range(3):
         m = idx == k
         if not m.any():

@@ -126,6 +126,29 @@ def save_scenario(sc: Scenario) -> str:
     return json.dumps(scenario_to_dict(sc), indent=2) + "\n"
 
 
+def json_number(name: str, value, kind=float):
+    """``value`` converted by ``kind``, if it is a JSON number of that kind.
+
+    This is the one rule for numbers read from JSON: an int, or for ``float``
+    an int or a float, is converted; a bool, a string, anything else, a float
+    where an int is needed and an int past float range raise ``ScenarioError``.
+    """
+    wanted = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        raise ScenarioError(f"{name}: invalid value, need {'an int' if kind is int else 'a number'}")
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise ScenarioError(f"{name}: invalid value: {exc}") from exc
+
+
+def json_numbers(name: str, values, kind=float) -> tuple:
+    """A list of JSON numbers, each converted by ``json_number``."""
+    if not isinstance(values, (list, tuple)):
+        raise ScenarioError(f"{name}: need a list of {kind.__name__}s")
+    return tuple(json_number(name, v, kind) for v in values)
+
+
 def scenario_from_dict(data) -> Scenario:
     """The scenario a decoded JSON document describes; any fault raises ``ScenarioError``."""
     if not isinstance(data, dict):
@@ -137,19 +160,25 @@ def scenario_from_dict(data) -> Scenario:
     if not isinstance(fixed, dict):
         raise ScenarioError("fixed_headings: need an object of location id to heading")
     try:
-        sensing = data["sensing"]
+        name, sensing = data["name"], data["sensing"]
+        if not isinstance(name, str):
+            raise ScenarioError("name: need a string")
+        nodes = tuple(json_numbers("sensors", node) for node in data["sensors"])
+        if any(len(node) != 2 for node in nodes):
+            raise ScenarioError("sensors: need [x, y] pairs")
         sensor_field = SensorField(
-            nodes=tuple((float(x), float(y)) for x, y in data["sensors"]),
-            alpha=float(sensing["alpha"]),
-            mu=float(sensing["mu"]),
-            cap=float(sensing["cap"]),
+            nodes=nodes,
+            alpha=json_number("sensing.alpha", sensing["alpha"]),
+            mu=json_number("sensing.mu", sensing["mu"]),
+            cap=json_number("sensing.cap", sensing["cap"]),
         )
         locations = [
-            TargetLocation(int(d["id"]), float(d["x"]), float(d["y"]), float(d["reward"]))
+            TargetLocation(json_number("locations.id", d["id"], int),
+                           *(json_number(f"locations.{k}", d[k]) for k in ("x", "y", "reward")))
             for d in data["locations"]
         ]
-        start_id = int(data["start_id"])
-        goal_id = int(data["goal_id"])
+        start_id = json_number("start_id", data["start_id"], int)
+        goal_id = json_number("goal_id", data["goal_id"], int)
         by_id = {loc.id: loc for loc in locations}
         if start_id not in by_id:
             raise ScenarioError("start_id: not present in locations")
@@ -161,21 +190,22 @@ def scenario_from_dict(data) -> Scenario:
             + [by_id[goal_id]]
         )
         return Scenario(
-            name=str(data["name"]),
+            name=name,
             locations=tuple(ordered),
             field=sensor_field,
-            t_max=float(data["t_max"]),
-            rho_min=float(data["rho_min"]),
-            rho_max=float(data["rho_max"]),
+            t_max=json_number("t_max", data["t_max"]),
+            rho_min=json_number("rho_min", data["rho_min"]),
+            rho_max=json_number("rho_max", data["rho_max"]),
             closed=closed,
-            fixed_headings={int(k): float(v) for k, v in fixed.items()} if fixed else None,
+            fixed_headings={
+                int(k): json_number(f"fixed_headings.{k}", v) for k, v in fixed.items()
+            } if fixed else None,
         )
     except ScenarioError:
         raise
     except KeyError as exc:
         raise ScenarioError(f"missing field {exc.args[0]!r}") from exc
-    # OverflowError: an id of 1e400 (infinity) or an integer beyond float range
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid value: {exc}") from exc
 
 

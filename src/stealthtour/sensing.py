@@ -176,14 +176,9 @@ def _simpson_run(field: SensorField, rows, step: float) -> list[float]:
     s[last] = length
 
     # each point's segment is the count of segment ends at or below it, as
-    # sample_many's searchsorted finds it while rounding leaves those ends in
-    # order; otherwise that searchsorted itself
+    # sample_many picks it
     ends = seg0 + seg1
     idx = (s >= seg0[curve_of]).astype(np.intp) + (s >= ends[curve_of])
-    for k in np.flatnonzero(ends > length).tolist():
-        run = slice(first[k], last[k] + 1)
-        found = np.searchsorted([seg0[k], ends[k], length[k]], s[run], side="right")
-        idx[run] = np.minimum(found, 2)
 
     # where each curve's three segments begin: arc length, (x, y), heading, with
     # its sine and cosine, and the signed radius of an arc (sign +1 left, -1 right)

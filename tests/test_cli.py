@@ -6,9 +6,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stealthtour import oracles
-from stealthtour.cli import main
+from stealthtour.cli import _params_from_args, build_parser, main
 from stealthtour.evolution import plan_from_tour
-from stealthtour.scenario import ScenarioError, generate_instance, save_scenario, scenario_to_dict
+from stealthtour.scenario import (
+    ScenarioError, SolverParams, generate_instance, save_scenario, scenario_to_dict,
+)
 
 SMALL_RUN = [
     "--instance", "cross", "--instance-seed", "1",
@@ -41,6 +43,17 @@ def test_solve_zero_generations(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["generations"]) == 1
     assert report["budget_violations"] == 0
+
+
+def test_solve_flags_default_to_solver_params():
+    parser = build_parser()
+    assert _params_from_args(parser.parse_args(["solve", "--instance", "cross"])) == SolverParams()
+    args = parser.parse_args(["solve", "--instance", "cross", "--population", "7",
+                              "--kappa", "3", "--align"])
+    assert _params_from_args(args) == SolverParams(population_size=7, von_mises_kappa=3.0,
+                                                   alignment_mutation=True)
+    args = parser.parse_args(["evaluate", "--instance", "cross", "--tour", "t.json"])
+    assert args.exposure_step == SolverParams().exposure_step
 
 
 def test_solve_infeasible_budget_exits_one(tmp_path, capsys):

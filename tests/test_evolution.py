@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import i0e, i1e
 
+from stealthtour import evolution
 from stealthtour.evolution import (
     Chromosome,
     InfeasibleScenarioError,
@@ -19,12 +21,16 @@ from stealthtour.evolution import (
     mutate,
     repair_budget,
     sample_von_mises,
+    _Member,
     _update_archive,
+    _visits,
 )
 from stealthtour.geometry import Pose, dubins_shortest
 from stealthtour.oracles import bessel_i0, bessel_i1, decoded_tour, update_archive_reference
 from stealthtour.pareto import Fitness
-from stealthtour.scenario import KAPPA_RANGE, Scenario, SolverParams, TargetLocation
+from stealthtour.scenario import (
+    KAPPA_RANGE, Scenario, SolverParams, TargetLocation, generate_instance,
+)
 from stealthtour.sensing import SensorField
 
 TWO_PI = 2.0 * math.pi
@@ -306,6 +312,33 @@ def test_evolve_alignment_mode(cross):
     assert res.budget_violations == 0
 
 
+@pytest.mark.parametrize("align", [False, True])
+def test_evolve_decodes_each_child_once(monkeypatch, align):
+    # the benchmark's cross-default solve: cross-1, 100 x 100, reference-point,
+    # step 0.05; a scored child's member keeps its tour, so beside repair and
+    # alignment only scoring and the final front decode
+    calls = Counter()
+
+    def count(name):
+        original = getattr(evolution, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, name, counted)
+
+    for name in ("_visits", "repair_budget", "align_headings"):
+        count(name)
+    params = SolverParams(population_size=100, generations=100, seed=5, exposure_step=0.05,
+                          alignment_mutation=align)
+    result = evolve(generate_instance("cross", 1), params)
+    assert calls["_visits"] == (calls["repair_budget"] + calls["align_headings"]
+                                + result.evaluations + len(result.front))
+    if not align:
+        assert calls["_visits"] == 22_172
+
+
 def test_evolve_single_objective_returns_best():
     sc = line_scenario(4, t_max=60.0)
     res = evolve(sc, small_params(population_size=40, generations=40,
@@ -352,7 +385,8 @@ def test_archive_by_bisection_equals_pairwise_scan(pool, batches):
     for batch in batches:
         population = [pool[i % len(pool)] for i, _ in batch]
         fits = [fit for _, fit in batch]
-        archive = _update_archive(archive, population, fits, sc)
+        members = [_Member(fit, ch, _visits(ch, sc)) for ch, fit in zip(population, fits)]
+        archive = _update_archive(archive, members)
         reference = update_archive_reference(reference, population, fits, sc)
         assert [m.fitness for m in archive] == [s.fitness for s in reference]
         for member, solution in zip(archive, reference):

@@ -137,6 +137,16 @@ def test_sample_midpoint_matches_chord_walk(rng):
         assert math.hypot(mid.x - ox, mid.y - oy) < 1e-6
 
 
+def test_sample_many_places_a_point_whatever_else_is_asked():
+    # rounding puts the first two segment ends past the length, so the ends are
+    # not in order; the end point's segment must not depend on the other points
+    curve = dubins_shortest(Pose(24.0, 8.0, 0.0), Pose(20.0, 5.0, math.pi), 1.5)
+    assert curve.seg_params[0] + curve.seg_params[1] > curve.length
+    alone = sample_many(curve, [curve.length])
+    among = sample_many(curve, np.linspace(0.0, curve.length, 21))
+    assert [a.tolist() for a in alone] == [[float(a[-1])] for a in among]
+
+
 def test_rigid_transform_invariance(rng):
     for _ in range(50):
         s, e = random_pose(rng), random_pose(rng)

@@ -211,9 +211,24 @@ def spoiled(**change) -> str:
     (spoiled(fixed_headings=None), "fixed_headings: need an object"),
     (spoiled(closed="no"), "closed: need true or false"),
     (spoiled(closed=1), "closed: need true or false"),
+    # each of these used to load, converted by float(), int() or str()
+    (spoiled(t_max="90"), "t_max: invalid value, need a number"),
+    (spoiled(locations=[dict(MINIMAL["locations"][0], x=True), MINIMAL["locations"][1]]),
+     "locations.x: invalid value, need a number"),
+    (spoiled(locations=[MINIMAL["locations"][0], dict(MINIMAL["locations"][1], id=1.5)]),
+     "locations.id: invalid value, need an int"),
+    (spoiled(sensors=["12", "34"]), "sensors: need a list of floats"),
+    (spoiled(sensors=[[1, "2"]]), "sensors: invalid value, need a number"),
+    (spoiled(sensors=[[1, 2, 3]]), r"sensors: need \[x, y\] pairs"),
+    (spoiled(sensing={"alpha": "50", "mu": 2.0, "cap": 30.0}),
+     "sensing.alpha: invalid value, need a number"),
+    (spoiled(name=5), "name: need a string"),
+    (spoiled(fixed_headings={"0": "1.5"}), "fixed_headings.0: invalid value, need a number"),
 ], ids=["infinite-start_id", "1e400-goal_id", "infinite-id", "huge-int-t_max", "huge-int-x",
         "huge-int-alpha", "5000-digit-t_max", "list-fixed_headings", "null-fixed_headings",
-        "string-closed", "number-closed"])
+        "string-closed", "number-closed", "string-t_max", "boolean-x", "fractional-id",
+        "string-sensors", "string-sensor-y", "three-number-sensor", "string-alpha", "number-name",
+        "string-fixed-heading"])
 def test_out_of_range_and_mistyped_values_raise_scenario_error(text, match):
     with pytest.raises(ScenarioError, match=match):
         load_scenario(text)

@@ -180,7 +180,8 @@ def test_curve_exposures_equal_one_curve_at_a_time(field, specs, step, batch):
 
 def test_curve_exposures_place_samples_as_sample_many_when_segment_ends_round_past_length():
     # the first two segment lengths add up to more than the curve's length, so
-    # the last sample's segment comes from sample_many's searchsorted, not a count
+    # the segment ends are out of order; both routes still count the ends at or
+    # below each sample
     curve = dubins_shortest(Pose(24.0, 8.0, 0.0), Pose(20.0, 5.0, math.pi), 1.5)
     assert curve.seg_params[0] + curve.seg_params[1] > curve.length
     for step in (0.05, 0.3, 1.0):
