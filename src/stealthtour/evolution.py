@@ -5,10 +5,14 @@ a heading and a turning radius.  Variation is two-point crossover over
 interior genes plus per-gene mutation (fresh key, von Mises heading kick,
 fresh radius); feasibility is restored by randomly dropping visits until
 the tour fits the travel budget.  ``evolve`` runs one generational step
-for every generation, the initial population included: decode each child
-once, score the decoded tours in one pass, then survive.  One record,
-``_Member`` (fitness, chromosome, tour), goes through the loop: the
-population, the survivors and the archive share members as they are.
+for every generation, the initial population included: settle each child
+once, score the new tours in one pass, then survive.  A child whose genes
+equal a parent's, or an earlier child's, takes that member or tour as it
+is; any other child is repaired, and repair hands the tour it measured
+(visit order, headings, radii and edge keys) to scoring, so nothing is
+decoded twice.  One record, ``_Member`` (fitness, chromosome, tour), goes
+through the loop: the population, the survivors and the archive share
+members as they are.
 ``_pareto_survivors`` selects NSGA-style, with either reference-point
 niching or crowding distance, and keeps an elitist archive of the best
 (reward, exposure) front seen so far, sorted by fitness and updated by
@@ -178,7 +182,8 @@ def evaluate_all(
     chromosomes, scenario: Scenario, exposure_step: float, table: EdgeTable | None = None
 ) -> list[Fitness]:
     """Fitness of each chromosome's decoded tour, all scored in one pass over ``table``."""
-    return _score_tours((_visits(ch, scenario) for ch in chromosomes), scenario, exposure_step, table)
+    return _score_tours((_keyed(*_visits(ch, scenario)) for ch in chromosomes),
+                        scenario, exposure_step, table)
 
 
 def score(
@@ -186,26 +191,29 @@ def score(
 ) -> Fitness:
     """Reward of the visited locations, then exposure and length of the chained curves."""
     headings = [pose.theta for pose in plan.poses]
-    return _score_tours([(plan.order, headings, plan.radii)], scenario, exposure_step, table)[0]
+    tour = _keyed(plan.order, headings, plan.radii)
+    return _score_tours([tour], scenario, exposure_step, table)[0]
+
+
+def _keyed(order, headings, radii) -> tuple:
+    """A tour as ``_score_tours`` takes it: its visit order and its edge keys."""
+    return order, _edge_keys(order, headings, radii)
 
 
 def _score_tours(tours, scenario: Scenario, exposure_step: float, table: EdgeTable | None):
-    """Fitness of each (order, headings, radii) tour, with curve values from ``table``.
+    """Fitness of each (order, edge keys) tour, with curve values from ``table``.
 
-    Every tour is keyed first, and each edge still without an exposure is
-    solved once, to a row, in first-seen order.  One ``sensing.row_exposures``
-    call integrates all those rows, which then fill ``table``, and each tour
-    is summed from it.
+    Each edge still without an exposure is solved once, to a row, in
+    first-seen order.  One ``sensing.row_exposures`` call integrates all
+    those rows, which then fill ``table``, and each tour is summed from it.
     """
     if table is None:
         table = EdgeTable(scenario, exposure_step)
     elif not table.serves(scenario, exposure_step):
         raise ValueError("edge table belongs to another scenario or exposure step")
     edges = table.edges
-    keyed, fresh = [], {}
-    for order, headings, radii in tours:
-        keys = _edge_keys(order, headings, radii)
-        keyed.append((order, keys))
+    keyed, fresh = list(tours), {}
+    for _, keys in keyed:
         for key in keys:
             entry = edges.get(key)
             if (entry is None or entry[1] is None) and key not in fresh:
@@ -304,13 +312,30 @@ def repair_budget(
     table: EdgeTable | None = None,
 ) -> Chromosome:
     """Drop random interior visits until the decoded tour fits t_max."""
+    return _repair(chromosome.copy(), scenario, rng, _length_table(table, scenario))[0]
+
+
+def _length_table(table: EdgeTable | None, scenario: Scenario) -> EdgeTable:
+    """``table``, or a new one if None, for the lengths repair reads."""
     if table is None:
-        table = EdgeTable(scenario)
-    elif not table.serves(scenario):
+        return EdgeTable(scenario)
+    if not table.serves(scenario):
         raise ValueError("edge table belongs to another scenario")
-    out = chromosome.copy()
+    return table
+
+
+def _repair(out: Chromosome, scenario: Scenario, rng: np.random.Generator, table: EdgeTable):
+    """``repair_budget`` on a chromosome the caller owns, changed in place.
+
+    Returns ``(out, tour, keys)``: the final tour as ``_visits`` gives it, (order,
+    headings, radii), and its edge keys, so that it can be scored without a
+    second decode.  A feasible ``out`` comes back unchanged, with no draw from
+    ``rng`` and no new entry in ``table``: its edges were all measured when it
+    was repaired.
+    """
     order, headings, radii = _visits(out, scenario)
-    length = table.tour_length(_edge_keys(order, headings, radii))
+    keys = _edge_keys(order, headings, radii)
+    length = table.tour_length(keys)
     # the active interior genes, ascending: each drop is a uniform pick among them
     candidates = [i for i, k in enumerate(out.keys[1:-1].tolist(), 1) if k >= 0.0]
     while length > scenario.t_max:
@@ -324,7 +349,9 @@ def repair_budget(
             if not scenario.closed:
                 out.thetas[0] = bearing % TWO_PI
                 out.thetas[-1] = bearing % TWO_PI
-            length = table.tour_length(_edge_keys(*_visits(out, scenario)))
+            order, headings, radii = _visits(out, scenario)
+            keys = _edge_keys(order, headings, radii)
+            length = table.tour_length(keys)
             if length > scenario.t_max:
                 raise InfeasibleScenarioError(
                     f"direct start-goal leg ({length:.3f} m) exceeds t_max={scenario.t_max}"
@@ -336,8 +363,9 @@ def repair_budget(
         # takes its own segment's radius along, or the last segment's if last
         p = order.index(drop)
         del order[p], headings[p], radii[min(p, len(radii) - 1)]
-        length = table.tour_length(_edge_keys(order, headings, radii))
-    return out
+        keys = _edge_keys(order, headings, radii)
+        length = table.tour_length(keys)
+    return out, (order, headings, radii), keys
 
 
 def initialize_population(
@@ -347,6 +375,12 @@ def initialize_population(
     table: EdgeTable | None = None,
 ) -> list[Chromosome]:
     """Random chromosomes (each interior gene active w.p. 0.5), repaired."""
+    table = _length_table(table, scenario)
+    return [child.chromosome for child in _initial_tours(scenario, params, rng, table)]
+
+
+def _initial_tours(scenario, params, rng, table) -> list["_Repaired"]:
+    """``initialize_population``'s chromosomes, each with the tour its repair ended on."""
     m = len(scenario.locations)
     population = []
     for _ in range(params.population_size):
@@ -355,7 +389,8 @@ def initialize_population(
         keys[0], keys[-1] = 0.0, 1.0
         thetas = rng.random(m) * TWO_PI
         rhos = scenario.rho_min + rng.random(m) * (scenario.rho_max - scenario.rho_min)
-        population.append(repair_budget(Chromosome(keys, thetas, rhos), scenario, rng, table))
+        chromosome = Chromosome(keys, thetas, rhos)
+        population.append(_Repaired(*_repair(chromosome, scenario, rng, table)))
     return population
 
 
@@ -390,15 +425,22 @@ def mutate(
     table: EdgeTable | None = None,
 ) -> Chromosome:
     """Resample all three attributes of each hit interior gene, then repair."""
-    out = chromosome.copy()
-    m = out.keys.size
-    for i in range(1, m - 1):
+    out = _mutate_genes(chromosome, scenario, params, rng)
+    return repair_budget(chromosome if out is None else out, scenario, rng, table)
+
+
+def _mutate_genes(chromosome: Chromosome, scenario: Scenario, params: SolverParams, rng):
+    """A mutated copy of ``chromosome``, not yet repaired, or None if no gene was hit."""
+    out = None
+    for i in range(1, chromosome.keys.size - 1):
         if rng.random() >= params.mutation_prob_gene:
             continue
+        if out is None:
+            out = chromosome.copy()
         out.keys[i] = rng.random()
         out.thetas[i] = sample_von_mises(float(out.thetas[i]), params.von_mises_kappa, rng)
         out.rhos[i] = scenario.rho_min + rng.random() * (scenario.rho_max - scenario.rho_min)
-    return repair_budget(out, scenario, rng, table)
+    return out
 
 
 def align_headings(chromosome: Chromosome, scenario: Scenario) -> Chromosome:
@@ -445,16 +487,29 @@ class _Member(NamedTuple):
     """One individual of the generational loop; ``evolve`` decodes the final archive
     into ``Solution``s.
 
-    ``tour`` is ``_visits``' (order, headings, radii) of ``chromosome``, decoded
-    once when the member is scored: two members' tours are equal exactly when
-    their decoded plans are.  Variation copies a chromosome before it changes
-    one, so a member's chromosome never changes, and the population, the
-    survivors and the archive share members as they are.
+    ``tour`` is ``_visits``' (order, headings, radii) of ``chromosome``, the
+    tour its repair ended on: two members' tours are equal exactly when their
+    decoded plans are.  Variation copies a chromosome before it changes one,
+    so a member's chromosome never changes, and the population, the survivors,
+    the archive and children equal to a parent share members as they are.
     """
 
     fitness: Fitness
     chromosome: Chromosome
     tour: tuple
+
+
+class _Repaired(NamedTuple):
+    """A repaired child not yet scored: ``_repair``'s chromosome, tour and edge keys."""
+
+    chromosome: Chromosome
+    tour: tuple
+    keys: list
+
+
+def _genes(chromosome: Chromosome) -> tuple[bytes, bytes, bytes]:
+    """The chromosome's gene bytes: equal bytes decode to equal tours."""
+    return chromosome.keys.tobytes(), chromosome.thetas.tobytes(), chromosome.rhos.tobytes()
 
 
 # sort keys of archive members
@@ -618,25 +673,51 @@ def _pareto_survivors(pop, offspring, archive, params, rng):
     return pop, archive, keys
 
 
-def _variation(pop, keys, scenario, params, rng, table) -> list[Chromosome]:
-    """population_size children of tournament-picked parents: crossover, mutation, repair."""
-    offspring: list[Chromosome] = []
+def _variation(pop, keys, scenario, params, rng, table) -> list:
+    """population_size children of tournament-picked parents: crossover, mutation, repair.
+
+    Each child comes back settled: as the ``_Member`` or ``_Repaired`` that a
+    parent or an earlier child of this step holds for its gene bytes, else
+    as the ``_Repaired`` record of a new repair.  A child left uncrossed is
+    its parent's member, and a mutation that hits no gene keeps its child as
+    it is.  Every repair skipped would have run on a feasible chromosome,
+    which draws nothing from ``rng`` and adds nothing to ``table``, so the
+    run is the same draw for draw.
+    """
+    known = {_genes(m.chromosome): m for m in pop}
+
+    def settle(chromosome):
+        found = known.get(_genes(chromosome))
+        if found is None:
+            found = _Repaired(*_repair(chromosome, scenario, rng, table))
+        return found
+
+    offspring = []
     while len(offspring) < params.population_size:
-        pa = pop[_tournament(rng, keys)].chromosome
-        pb = pop[_tournament(rng, keys)].chromosome
+        ca = pop[_tournament(rng, keys)]
+        cb = pop[_tournament(rng, keys)]
         if rng.random() < params.crossover_prob:
-            ca, cb = crossover_two_point(pa, pb, rng)
-            ca = repair_budget(ca, scenario, rng, table)
-            cb = repair_budget(cb, scenario, rng, table)
-        else:
-            ca, cb = pa.copy(), pb.copy()
+            xa, xb = crossover_two_point(ca.chromosome, cb.chromosome, rng)
+            ca, cb = settle(xa), settle(xb)
         for child in (ca, cb):
             if rng.random() < params.mutation_prob_individual:
-                child = mutate(child, scenario, params, rng, table)
+                mutated = _mutate_genes(child.chromosome, scenario, params, rng)
+                if mutated is not None:
+                    child = settle(mutated)
             if params.alignment_mutation:
-                child = repair_budget(align_headings(child, scenario), scenario, rng, table)
+                child = settle(align_headings(child.chromosome, scenario))
+            known.setdefault(_genes(child.chromosome), child)
             offspring.append(child)
     return offspring[: params.population_size]
+
+
+def _scored(children, scenario, exposure_step, table) -> list[_Member]:
+    """Members of the settled children: the ``_Repaired`` ones scored in one pass, the
+    others as they are."""
+    tours = [(c.tour[0], c.keys) for c in children if isinstance(c, _Repaired)]
+    fitnesses = iter(_score_tours(tours, scenario, exposure_step, table))
+    return [_Member(next(fitnesses), c.chromosome, c.tour) if isinstance(c, _Repaired) else c
+            for c in children]
 
 
 def evolve(
@@ -655,13 +736,10 @@ def evolve(
 
     for gen in range(params.generations + 1):
         if gen == 0:
-            children = initialize_population(scenario, params, rng, table)
+            children = _initial_tours(scenario, params, rng, table)
         else:
             children = _variation(pop, keys, scenario, params, rng, table)
-        # each child is decoded once, and its member keeps the tour
-        tours = [_visits(ch, scenario) for ch in children]
-        fitnesses = _score_tours(tours, scenario, params.exposure_step, table)
-        offspring = [_Member(f, ch, t) for f, ch, t in zip(fitnesses, children, tours)]
+        offspring = _scored(children, scenario, params.exposure_step, table)
         evaluations += len(offspring)
         budget_violations += sum(m.fitness.length > scenario.t_max + 1e-9 for m in offspring)
         pop, archive, keys = survive(pop, offspring, archive, params, rng)

@@ -149,6 +149,21 @@ def json_numbers(name: str, values, kind=float) -> tuple:
     return tuple(json_number(name, v, kind) for v in values)
 
 
+def _location_id(key: str) -> int:
+    """A ``fixed_headings`` key as a location id, if it is the id written in decimal.
+
+    Only the spelling ``str(id)`` is taken, so no two keys name one id and no
+    key with a sign, spaces, underscores or non-ASCII digits names any.
+    """
+    try:
+        lid = int(key)
+    except ValueError:
+        lid = None
+    if lid is None or str(lid) != key:
+        raise ScenarioError(f"fixed_headings: key {key!r} is not a location id in decimal")
+    return lid
+
+
 def scenario_from_dict(data) -> Scenario:
     """The scenario a decoded JSON document describes; any fault raises ``ScenarioError``."""
     if not isinstance(data, dict):
@@ -198,7 +213,7 @@ def scenario_from_dict(data) -> Scenario:
             rho_max=json_number("rho_max", data["rho_max"]),
             closed=closed,
             fixed_headings={
-                int(k): json_number(f"fixed_headings.{k}", v) for k, v in fixed.items()
+                _location_id(k): json_number(f"fixed_headings.{k}", v) for k, v in fixed.items()
             } if fixed else None,
         )
     except ScenarioError:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from stealthtour import evolution, geometry, oracles, sensing
 from stealthtour.evolution import (
-    Chromosome, EdgeTable, decode, evaluate, evaluate_all, evolve, repair_budget,
+    Chromosome, EdgeTable, decode, evaluate, evaluate_all, evolve, initialize_population,
+    repair_budget,
 )
 from stealthtour.geometry import FAMILIES, Pose, build_tour
 from stealthtour.oracles import (
@@ -86,6 +87,20 @@ def test_shared_table_matches_direct_rebuild(name, seed, ops):
         assert warm.equals(cold) and warm.equals(rebuild_repair(pool[i], sc, rngs[2]))
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
         assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 7))
+def test_repairing_a_repaired_chromosome_changes_nothing(name, seed, index):
+    # evolve skips the repair of a child equal to a member on this fact
+    sc = SCENARIOS[name]
+    rng, table = np.random.default_rng(seed), EdgeTable(sc)
+    member = initialize_population(sc, SolverParams(population_size=8), rng, table)[index]
+    state, entries, solved = rng.bit_generator.state, dict(table.edges), table.solved
+    assert repair_budget(member, sc, rng, table).equals(member)
+    assert rng.bit_generator.state == state
+    assert table.edges == entries and table.solved == solved
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

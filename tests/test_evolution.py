@@ -315,28 +315,37 @@ def test_evolve_alignment_mode(cross):
 @pytest.mark.parametrize("align", [False, True])
 def test_evolve_decodes_each_child_once(monkeypatch, align):
     # the benchmark's cross-default solve: cross-1, 100 x 100, reference-point,
-    # step 0.05; a scored child's member keeps its tour, so beside repair and
-    # alignment only scoring and the final front decode
+    # step 0.05; repair hands its tour to scoring and a child equal to a parent
+    # takes its member, so only repair, alignment and the final front decode
     calls = Counter()
 
-    def count(name):
+    def count(name, items=False):
         original = getattr(evolution, name)
 
-        def counted(*args, **kwargs):
+        def counted(first, *args, **kwargs):
+            if items:
+                first = list(first)
+                calls[name + " items"] += len(first)
             calls[name] += 1
-            return original(*args, **kwargs)
+            return original(first, *args, **kwargs)
 
         monkeypatch.setattr(evolution, name, counted)
 
-    for name in ("_visits", "repair_budget", "align_headings"):
+    for name in ("_visits", "_repair", "align_headings"):
         count(name)
+    count("_score_tours", items=True)
     params = SolverParams(population_size=100, generations=100, seed=5, exposure_step=0.05,
                           alignment_mutation=align)
     result = evolve(generate_instance("cross", 1), params)
-    assert calls["_visits"] == (calls["repair_budget"] + calls["align_headings"]
-                                + result.evaluations + len(result.front))
+    assert calls["_visits"] == calls["_repair"] + calls["align_headings"] + len(result.front)
+    assert calls["_score_tours"] == params.generations + 1
     if not align:
-        assert calls["_visits"] == 22_172
+        # 12,048 repairs, 22,172 decodes and 10,100 scored tours before
+        assert calls["_repair"] == 6_979
+        assert calls["_visits"] == 7_003
+        # the 10,100 evaluations less the 3,766 children equal to a parent
+        assert calls["_score_tours items"] == 6_334
+        assert result.evaluations == 10_100
 
 
 def test_evolve_single_objective_returns_best():

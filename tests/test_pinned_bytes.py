@@ -11,7 +11,9 @@ import json
 
 import pytest
 
+from stealthtour import evolution
 from stealthtour.cli import main
+from stealthtour.evolution import check_tour, decode, evaluate_all
 from stealthtour.scenario import generate_instance, scenario_to_dict
 
 CROSS_1 = ["--instance", "cross", "--instance-seed", "1",
@@ -97,3 +99,27 @@ def solve_digests(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_solve_bytes_are_pinned(tmp_path, name):
     assert solve_digests(tmp_path, name) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_every_evaluated_tour_obeys_the_model(monkeypatch, tmp_path, name):
+    # each generation's offspring: children equal to a parent keep its member,
+    # the others are scored on the tour their repair handed over, so hold each
+    # to a fresh decode and to the whole tour model
+    scored, passes = evolution._scored, []
+
+    def checked(children, scenario, exposure_step, table):
+        offspring = scored(children, scenario, exposure_step, table)
+        chromosomes = [m.chromosome for m in offspring]
+        assert [m.fitness for m in offspring] == evaluate_all(chromosomes, scenario, exposure_step)
+        for m in offspring:
+            assert m.tour == evolution._visits(m.chromosome, scenario)
+            assert check_tour(scenario, decode(m.chromosome, scenario), m.fitness.length) == []
+        passes.append(len(offspring))
+        return offspring
+
+    monkeypatch.setattr(evolution, "_scored", checked)
+    assert solve_digests(tmp_path, name) == PINNED[name]
+    generations = int(CONFIGS[name][CONFIGS[name].index("--generations") + 1])
+    population = int(CONFIGS[name][CONFIGS[name].index("--population") + 1])
+    assert passes == [population] * (generations + 1)

@@ -224,11 +224,17 @@ def spoiled(**change) -> str:
      "sensing.alpha: invalid value, need a number"),
     (spoiled(name=5), "name: need a string"),
     (spoiled(fixed_headings={"0": "1.5"}), "fixed_headings.0: invalid value, need a number"),
+    # int() reads each of these keys as an id: 10, 3, 3 and, for "03", the id "3" also names
+    (spoiled(fixed_headings={"1_0": 0.5}), "key '1_0' is not a location id"),
+    (spoiled(fixed_headings={" 3 ": 0.5}), "key ' 3 ' is not a location id"),
+    (spoiled(fixed_headings={"\u0663": 0.5}), "key '\u0663' is not a location id"),
+    (spoiled(fixed_headings={"3": 0.1, "03": 0.2}), "key '03' is not a location id"),
 ], ids=["infinite-start_id", "1e400-goal_id", "infinite-id", "huge-int-t_max", "huge-int-x",
         "huge-int-alpha", "5000-digit-t_max", "list-fixed_headings", "null-fixed_headings",
         "string-closed", "number-closed", "string-t_max", "boolean-x", "fractional-id",
         "string-sensors", "string-sensor-y", "three-number-sensor", "string-alpha", "number-name",
-        "string-fixed-heading"])
+        "string-fixed-heading", "underscore-key", "spaced-key", "arabic-indic-key",
+        "two-spellings-of-one-key"])
 def test_out_of_range_and_mistyped_values_raise_scenario_error(text, match):
     with pytest.raises(ScenarioError, match=match):
         load_scenario(text)
