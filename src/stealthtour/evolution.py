@@ -6,20 +6,21 @@ interior genes plus per-gene mutation (fresh key, von Mises heading kick,
 fresh radius); feasibility is restored by randomly dropping visits until
 the tour fits the travel budget.  ``evolve`` runs one generational step
 for every generation, the initial population included: settle each child
-once, score the new tours in one pass, then survive.  A child whose genes
-equal a parent's, or an earlier child's, takes that member or tour as it
-is; any other child is repaired, and repair hands the tour it measured
-(visit order, headings, radii and edge keys) to scoring, so nothing is
-decoded twice.  One record, ``_Member`` (fitness, chromosome, tour), goes
-through the loop: the population, the survivors and the archive share
-members as they are.
+once, score the new tours in one pass, then survive.  One record,
+``_Member`` (fitness, chromosome, tour), goes through the loop, and a tour
+is its list of edge keys.  A child whose genes equal a parent's, or an
+earlier child's, takes that member as it is; any other child is repaired
+into a member with no fitness yet, whose tour is the keys repair measured,
+so nothing is decoded twice.  The population, the survivors and the
+archive share members as they are.
 ``_pareto_survivors`` selects NSGA-style, with either reference-point
 niching or crowding distance, and keeps an elitist archive of the best
 (reward, exposure) front seen so far, sorted by fitness and updated by
 bisection; ``_best_survivors`` is the single-objective baseline, which ranks
 by reward and keeps the one best tour.  Only the final archive is decoded
 into plans.  Scoring and repair read each Dubins curve's length and
-exposure from a per-run ``EdgeTable``; a scoring pass integrates its new
+exposure from an ``EdgeTable``: ``evolve`` shares one across its run, and
+every public call makes its own.  A scoring pass integrates its new
 curves' exposures with one ``sensing.row_exposures`` call.
 """
 
@@ -114,6 +115,15 @@ def _edge_keys(order, headings, radii) -> list[tuple]:
     return [(order[k], headings[k], order[k + 1], headings[k + 1], r) for k, r in enumerate(radii)]
 
 
+def _tour(chromosome: Chromosome, scenario: Scenario) -> list[tuple]:
+    """The decoded tour as the loop holds it: its edge keys, in visit order.
+
+    The keys map one-to-one onto ``_visits``' (order, headings, radii), so two
+    tours are equal exactly when their decoded plans are.
+    """
+    return _edge_keys(*_visits(chromosome, scenario))
+
+
 class EdgeTable:
     """Length and exposure of each distinct Dubins edge met while solving one scenario.
 
@@ -124,23 +134,18 @@ class EdgeTable:
     scoring first needs it, as repair needs lengths only.  Edges are solved to
     float rows (``row``), never to ``Pose`` or ``DubinsPath`` objects, and
     each scoring pass integrates the rows it solved with one
-    ``sensing.row_exposures`` call.
-    ``solved`` counts the curves solved and ``integrated`` the curves whose
-    exposure was integrated.
+    ``sensing.row_exposures`` call.  ``evolve`` shares one table across a
+    run, at one exposure step; every public scoring or repair call makes its
+    own.  ``solved`` counts the curves solved and ``integrated`` the curves
+    whose exposure was integrated.
     """
 
-    def __init__(self, scenario: Scenario, exposure_step: float | None = None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.exposure_step = exposure_step
         self.rewards = tuple(loc.reward for loc in scenario.locations)
         self.edges: dict[tuple, tuple[float, float | None]] = {}
         self.solved = 0
         self.integrated = 0
-
-    def serves(self, scenario: Scenario, exposure_step: float | None = None) -> bool:
-        return (self.scenario is scenario or self.scenario == scenario) and (
-            exposure_step is None or exposure_step == self.exposure_step
-        )
 
     def row(self, key: tuple) -> tuple:
         """The edge's curve as ``sensing.row_exposures`` takes it: (length, radius,
@@ -172,71 +177,55 @@ def _check_chain(poses: int, radii: int) -> None:
         raise ValueError("need exactly one radius per segment")
 
 
-def evaluate(
-    chromosome: Chromosome, scenario: Scenario, exposure_step: float, table: EdgeTable | None = None
-) -> Fitness:
-    return evaluate_all([chromosome], scenario, exposure_step, table)[0]
+def evaluate(chromosome: Chromosome, scenario: Scenario, exposure_step: float) -> Fitness:
+    return evaluate_all([chromosome], scenario, exposure_step)[0]
 
 
-def evaluate_all(
-    chromosomes, scenario: Scenario, exposure_step: float, table: EdgeTable | None = None
-) -> list[Fitness]:
-    """Fitness of each chromosome's decoded tour, all scored in one pass over ``table``."""
-    return _score_tours((_keyed(*_visits(ch, scenario)) for ch in chromosomes),
-                        scenario, exposure_step, table)
+def evaluate_all(chromosomes, scenario: Scenario, exposure_step: float) -> list[Fitness]:
+    """Fitness of each chromosome's decoded tour, all scored in one pass over a new table."""
+    tours = [_tour(ch, scenario) for ch in chromosomes]
+    return _score_tours(tours, EdgeTable(scenario), exposure_step)
 
 
-def score(
-    plan: TourPlan, scenario: Scenario, exposure_step: float, table: EdgeTable | None = None
-) -> Fitness:
+def score(plan: TourPlan, scenario: Scenario, exposure_step: float) -> Fitness:
     """Reward of the visited locations, then exposure and length of the chained curves."""
-    headings = [pose.theta for pose in plan.poses]
-    tour = _keyed(plan.order, headings, plan.radii)
-    return _score_tours([tour], scenario, exposure_step, table)[0]
+    keys = _edge_keys(plan.order, [pose.theta for pose in plan.poses], plan.radii)
+    return _score_tours([keys], EdgeTable(scenario), exposure_step)[0]
 
 
-def _keyed(order, headings, radii) -> tuple:
-    """A tour as ``_score_tours`` takes it: its visit order and its edge keys."""
-    return order, _edge_keys(order, headings, radii)
-
-
-def _score_tours(tours, scenario: Scenario, exposure_step: float, table: EdgeTable | None):
-    """Fitness of each (order, edge keys) tour, with curve values from ``table``.
+def _score_tours(tours, table: EdgeTable, exposure_step: float) -> list[Fitness]:
+    """Fitness of each tour (a list of edge keys), with curve values from ``table``.
 
     Each edge still without an exposure is solved once, to a row, in
     first-seen order.  One ``sensing.row_exposures`` call integrates all
     those rows, which then fill ``table``, and each tour is summed from it.
     """
-    if table is None:
-        table = EdgeTable(scenario, exposure_step)
-    elif not table.serves(scenario, exposure_step):
-        raise ValueError("edge table belongs to another scenario or exposure step")
-    edges = table.edges
-    keyed, fresh = list(tours), {}
-    for _, keys in keyed:
+    edges, fresh = table.edges, {}
+    for keys in tours:
         for key in keys:
             entry = edges.get(key)
             if (entry is None or entry[1] is None) and key not in fresh:
                 fresh[key] = table.row(key)
     rows = list(fresh.values())
-    values = sensing.row_exposures(scenario.field, rows, exposure_step)
+    values = sensing.row_exposures(table.scenario.field, rows, exposure_step)
     for key, row, value in zip(fresh, rows, values):
         edges[key] = (row[0], value)
     table.integrated += len(rows)
-    return [_fitness(order, keys, table) for order, keys in keyed]
+    return [_fitness(keys, table) for keys in tours]
 
 
-def _fitness(order, keys, table: EdgeTable) -> Fitness:
+def _fitness(keys, table: EdgeTable) -> Fitness:
     """One tour's fitness from the table, added up as ``build_tour`` and ``exposure`` add:
-    rewards, exposures and lengths each from 0.0 in tour order."""
-    length = exposed = 0.0
+    lengths, exposures and rewards each from 0.0 in tour order, the rewards of the
+    first key's start and then of each key's end."""
+    edges, rewards = table.edges, table.rewards
+    length = exposed = reward = 0.0
+    reward += rewards[keys[0][0]]
     for key in keys:
-        entry = table.edges[key]
+        entry = edges[key]
         length += entry[0]
         exposed += entry[1]
-    reward = 0.0
-    for i in order:
-        reward += table.rewards[i]
+        reward += rewards[key[2]]
     return Fitness(reward, exposed, length)
 
 
@@ -306,35 +295,23 @@ def sample_von_mises(mean: float, kappa: float, rng: np.random.Generator) -> flo
 
 
 def repair_budget(
-    chromosome: Chromosome,
-    scenario: Scenario,
-    rng: np.random.Generator,
-    table: EdgeTable | None = None,
+    chromosome: Chromosome, scenario: Scenario, rng: np.random.Generator
 ) -> Chromosome:
     """Drop random interior visits until the decoded tour fits t_max."""
-    return _repair(chromosome.copy(), scenario, rng, _length_table(table, scenario))[0]
-
-
-def _length_table(table: EdgeTable | None, scenario: Scenario) -> EdgeTable:
-    """``table``, or a new one if None, for the lengths repair reads."""
-    if table is None:
-        return EdgeTable(scenario)
-    if not table.serves(scenario):
-        raise ValueError("edge table belongs to another scenario")
-    return table
+    return _repair(chromosome.copy(), scenario, rng, EdgeTable(scenario)).chromosome
 
 
 def _repair(out: Chromosome, scenario: Scenario, rng: np.random.Generator, table: EdgeTable):
     """``repair_budget`` on a chromosome the caller owns, changed in place.
 
-    Returns ``(out, tour, keys)``: the final tour as ``_visits`` gives it, (order,
-    headings, radii), and its edge keys, so that it can be scored without a
-    second decode.  A feasible ``out`` comes back unchanged, with no draw from
-    ``rng`` and no new entry in ``table``: its edges were all measured when it
-    was repaired.
+    Returns an unscored ``_Member`` of ``out`` and the tour it ended on, the
+    edge keys whose lengths it summed, so that it can be scored without a
+    second decode.  Dropping a visit joins the keys into and out of it into
+    the one key a fresh decode gives.  A feasible ``out`` comes back
+    unchanged, with no draw from ``rng`` and no new entry in ``table``: its
+    edges were all measured when it was repaired.
     """
-    order, headings, radii = _visits(out, scenario)
-    keys = _edge_keys(order, headings, radii)
+    keys = _tour(out, scenario)
     length = table.tour_length(keys)
     # the active interior genes, ascending: each drop is a uniform pick among them
     candidates = [i for i, k in enumerate(out.keys[1:-1].tolist(), 1) if k >= 0.0]
@@ -349,8 +326,7 @@ def _repair(out: Chromosome, scenario: Scenario, rng: np.random.Generator, table
             if not scenario.closed:
                 out.thetas[0] = bearing % TWO_PI
                 out.thetas[-1] = bearing % TWO_PI
-            order, headings, radii = _visits(out, scenario)
-            keys = _edge_keys(order, headings, radii)
+            keys = _tour(out, scenario)
             length = table.tour_length(keys)
             if length > scenario.t_max:
                 raise InfeasibleScenarioError(
@@ -359,28 +335,30 @@ def _repair(out: Chromosome, scenario: Scenario, rng: np.random.Generator, table
             break
         drop = candidates.pop(int(rng.integers(len(candidates))))
         out.keys[drop] = -1.0
-        # the order stays stably sorted by key without the dropped visit; it
-        # takes its own segment's radius along, or the last segment's if last
-        p = order.index(drop)
-        del order[p], headings[p], radii[min(p, len(radii) - 1)]
-        keys = _edge_keys(order, headings, radii)
+        # the order stays stably sorted by key without the dropped visit: the
+        # segment from the visit before it to the one after takes the radius
+        # of the segment into it; a first or last visit takes its one key along
+        p = next((k for k, key in enumerate(keys) if key[0] == drop), len(keys))
+        if 0 < p < len(keys):
+            a, theta_a, _, _, radius = keys[p - 1]
+            keys[p - 1:p + 1] = [(a, theta_a, keys[p][2], keys[p][3], radius)]
+        else:
+            del keys[min(p, len(keys) - 1)]
+        if not keys:
+            raise ValueError("a tour needs at least 2 poses")
         length = table.tour_length(keys)
-    return out, (order, headings, radii), keys
+    return _Member(None, out, keys)
 
 
 def initialize_population(
-    scenario: Scenario,
-    params: SolverParams,
-    rng: np.random.Generator,
-    table: EdgeTable | None = None,
+    scenario: Scenario, params: SolverParams, rng: np.random.Generator
 ) -> list[Chromosome]:
     """Random chromosomes (each interior gene active w.p. 0.5), repaired."""
-    table = _length_table(table, scenario)
-    return [child.chromosome for child in _initial_tours(scenario, params, rng, table)]
+    return [m.chromosome for m in _initial_members(scenario, params, rng, EdgeTable(scenario))]
 
 
-def _initial_tours(scenario, params, rng, table) -> list["_Repaired"]:
-    """``initialize_population``'s chromosomes, each with the tour its repair ended on."""
+def _initial_members(scenario, params, rng, table) -> list["_Member"]:
+    """``initialize_population``'s chromosomes as the unscored members their repairs return."""
     m = len(scenario.locations)
     population = []
     for _ in range(params.population_size):
@@ -389,8 +367,7 @@ def _initial_tours(scenario, params, rng, table) -> list["_Repaired"]:
         keys[0], keys[-1] = 0.0, 1.0
         thetas = rng.random(m) * TWO_PI
         rhos = scenario.rho_min + rng.random(m) * (scenario.rho_max - scenario.rho_min)
-        chromosome = Chromosome(keys, thetas, rhos)
-        population.append(_Repaired(*_repair(chromosome, scenario, rng, table)))
+        population.append(_repair(Chromosome(keys, thetas, rhos), scenario, rng, table))
     return population
 
 
@@ -418,15 +395,11 @@ def crossover_two_point(
 
 
 def mutate(
-    chromosome: Chromosome,
-    scenario: Scenario,
-    params: SolverParams,
-    rng: np.random.Generator,
-    table: EdgeTable | None = None,
+    chromosome: Chromosome, scenario: Scenario, params: SolverParams, rng: np.random.Generator
 ) -> Chromosome:
     """Resample all three attributes of each hit interior gene, then repair."""
     out = _mutate_genes(chromosome, scenario, params, rng)
-    return repair_budget(chromosome if out is None else out, scenario, rng, table)
+    return repair_budget(chromosome if out is None else out, scenario, rng)
 
 
 def _mutate_genes(chromosome: Chromosome, scenario: Scenario, params: SolverParams, rng):
@@ -487,24 +460,18 @@ class _Member(NamedTuple):
     """One individual of the generational loop; ``evolve`` decodes the final archive
     into ``Solution``s.
 
-    ``tour`` is ``_visits``' (order, headings, radii) of ``chromosome``, the
-    tour its repair ended on: two members' tours are equal exactly when their
-    decoded plans are.  Variation copies a chromosome before it changes one,
-    so a member's chromosome never changes, and the population, the survivors,
-    the archive and children equal to a parent share members as they are.
+    ``tour`` is the ``_tour`` of ``chromosome``, the edge keys its repair
+    ended on: two members' tours are equal exactly when their decoded plans
+    are.  A repaired child is a member whose ``fitness`` is None until
+    ``_scored`` fills it in.  Variation copies a chromosome before it changes
+    one, so a member's chromosome never changes, and the population, the
+    survivors, the archive and children equal to a parent share members as
+    they are.
     """
 
-    fitness: Fitness
+    fitness: Fitness | None
     chromosome: Chromosome
-    tour: tuple
-
-
-class _Repaired(NamedTuple):
-    """A repaired child not yet scored: ``_repair``'s chromosome, tour and edge keys."""
-
-    chromosome: Chromosome
-    tour: tuple
-    keys: list
+    tour: list
 
 
 def _genes(chromosome: Chromosome) -> tuple[bytes, bytes, bytes]:
@@ -673,23 +640,22 @@ def _pareto_survivors(pop, offspring, archive, params, rng):
     return pop, archive, keys
 
 
-def _variation(pop, keys, scenario, params, rng, table) -> list:
+def _variation(pop, keys, scenario, params, rng, table) -> list[_Member]:
     """population_size children of tournament-picked parents: crossover, mutation, repair.
 
-    Each child comes back settled: as the ``_Member`` or ``_Repaired`` that a
-    parent or an earlier child of this step holds for its gene bytes, else
-    as the ``_Repaired`` record of a new repair.  A child left uncrossed is
-    its parent's member, and a mutation that hits no gene keeps its child as
-    it is.  Every repair skipped would have run on a feasible chromosome,
-    which draws nothing from ``rng`` and adds nothing to ``table``, so the
-    run is the same draw for draw.
+    Each child comes back settled: as the member that a parent or an earlier
+    child of this step holds for its gene bytes, else as the unscored member
+    a new repair returns.  A child left uncrossed is its parent's member, and
+    a mutation that hits no gene keeps its child as it is.  Every repair
+    skipped would have run on a feasible chromosome, which draws nothing from
+    ``rng`` and adds nothing to ``table``, so the run is the same draw for draw.
     """
     known = {_genes(m.chromosome): m for m in pop}
 
     def settle(chromosome):
         found = known.get(_genes(chromosome))
         if found is None:
-            found = _Repaired(*_repair(chromosome, scenario, rng, table))
+            found = _repair(chromosome, scenario, rng, table)
         return found
 
     offspring = []
@@ -711,12 +677,11 @@ def _variation(pop, keys, scenario, params, rng, table) -> list:
     return offspring[: params.population_size]
 
 
-def _scored(children, scenario, exposure_step, table) -> list[_Member]:
-    """Members of the settled children: the ``_Repaired`` ones scored in one pass, the
-    others as they are."""
-    tours = [(c.tour[0], c.keys) for c in children if isinstance(c, _Repaired)]
-    fitnesses = iter(_score_tours(tours, scenario, exposure_step, table))
-    return [_Member(next(fitnesses), c.chromosome, c.tour) if isinstance(c, _Repaired) else c
+def _scored(children, table: EdgeTable, exposure_step: float) -> list[_Member]:
+    """The settled children with every missing fitness filled in, all scored in one pass."""
+    fitnesses = iter(_score_tours([c.tour for c in children if c.fitness is None],
+                                  table, exposure_step))
+    return [c if c.fitness is not None else c._replace(fitness=next(fitnesses))
             for c in children]
 
 
@@ -730,16 +695,16 @@ def evolve(
         rng = np.random.default_rng(params.seed)
     survive = _best_survivors if params.single_objective else _pareto_survivors
     ref_point = (-1.0, scenario.field.cap * scenario.t_max + 1.0)
-    table = EdgeTable(scenario, params.exposure_step)
+    table = EdgeTable(scenario)
     pop, archive, keys = [], [], None
     stats, evaluations, budget_violations = [], 0, 0
 
     for gen in range(params.generations + 1):
         if gen == 0:
-            children = _initial_tours(scenario, params, rng, table)
+            children = _initial_members(scenario, params, rng, table)
         else:
             children = _variation(pop, keys, scenario, params, rng, table)
-        offspring = _scored(children, scenario, params.exposure_step, table)
+        offspring = _scored(children, table, params.exposure_step)
         evaluations += len(offspring)
         budget_violations += sum(m.fitness.length > scenario.t_max + 1e-9 for m in offspring)
         pop, archive, keys = survive(pop, offspring, archive, params, rng)

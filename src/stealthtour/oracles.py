@@ -287,7 +287,7 @@ def straight_exposure_closed_form(alpha: float, lateral: float, t0: float, t1: f
 
 
 def simpson_curve_exposure(field: SensorField, curve: DubinsPath, step: float) -> float:
-    """Simpson exposure of one curve alone: ``sensing.curve_exposures`` must equal it bit for bit."""
+    """Simpson exposure of one curve alone: ``sensing.row_exposures`` must equal it bit for bit."""
     if curve.length <= 0.0 or not field.nodes:
         return 0.0
     n = 2 * max(1, math.ceil(curve.length / (2.0 * step)))

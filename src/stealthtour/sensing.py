@@ -96,8 +96,8 @@ def quadrature_pairs(field: SensorField, length: float, step: float) -> int:
     is 0.0.  Raises ``QuadratureTooLargeError``, before anything is allocated,
     for a curve that would take more than ``MAX_QUADRATURE_PAIRS``.
     """
-    if not step > 0.0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be finite and positive")
     sensors = len(field.nodes)
     if length <= 0.0 or not sensors:
         return 0
@@ -119,11 +119,6 @@ def curve_row(curve: DubinsPath) -> tuple:
     start = curve.start
     family = FAMILIES.index(curve.family)
     return (curve.length, curve.radius, seg[0], seg[1], start.x, start.y, start.theta, family)
-
-
-def curve_exposures(field: SensorField, curves, step: float) -> list[float]:
-    """Composite Simpson exposure of each curve; see ``row_exposures``."""
-    return row_exposures(field, [curve_row(c) for c in curves], step)
 
 
 def row_exposures(field: SensorField, rows, step: float) -> list[float]:
@@ -233,6 +228,6 @@ def exposure(field: SensorField, path: CompositePath | DubinsPath, step: float) 
     """
     curves = path.curves if isinstance(path, CompositePath) else (path,)
     total = 0.0
-    for value in curve_exposures(field, curves, step):
+    for value in row_exposures(field, [curve_row(c) for c in curves], step):
         total += value
     return total

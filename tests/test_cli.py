@@ -63,7 +63,8 @@ def test_solve_infeasible_budget_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--population", "0"), ("--exposure-step", "-1"), ("--exposure-step", "nan"), ("--kappa", "nan"),
+    ("--population", "0"), ("--exposure-step", "-1"), ("--exposure-step", "nan"),
+    ("--exposure-step", "inf"), ("--kappa", "nan"),
     ("--kappa", "1e-300"), ("--kappa", "1e300"), ("--seed", "-1"),
 ])
 def test_solve_bad_parameter_exits_one(tmp_path, capsys, flag, value):
@@ -104,6 +105,20 @@ def test_evaluate_round_trips_report(tmp_path, capsys):
     stored = report["front"][0]
     for key in ("reward", "exposure", "length"):
         assert values[key] == pytest.approx(stored[key], abs=1e-9)
+
+
+@pytest.mark.parametrize("step", ["inf", "nan", "0", "-1"])
+def test_evaluate_bad_exposure_step_exits_one(tmp_path, cross, capsys, step):
+    sc_file = tmp_path / "sc.json"
+    sc_file.write_text(save_scenario(cross))
+    start, goal = cross.locations[0], cross.locations[-1]
+    tour_file = tmp_path / "tour.json"
+    tour_file.write_text(json.dumps({"ids": [start.id, goal.id], "headings": [0.0, 0.0],
+                                     "radii": [1.0]}))
+    rc = main(["evaluate", "--scenario", str(sc_file), "--tour", str(tour_file),
+               "--exposure-step", step])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_evaluate_tour_file_and_infeasible(tmp_path, cross, capsys):

@@ -1,5 +1,6 @@
 """The per-run edge table gives exactly the numbers of a direct rebuild."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -10,15 +11,17 @@ from hypothesis import strategies as st
 
 from stealthtour import evolution, geometry, oracles, sensing
 from stealthtour.evolution import (
-    Chromosome, EdgeTable, decode, evaluate, evaluate_all, evolve, initialize_population,
-    repair_budget,
+    Chromosome, EdgeTable, _initial_members, _repair, _score_tours, _tour, decode, evaluate,
+    evaluate_all, evolve, repair_budget,
 )
 from stealthtour.geometry import FAMILIES, Pose, build_tour
 from stealthtour.oracles import (
     decoded_tour, dubins_shortest_reference, family_oracle_length, total_reward,
 )
 from stealthtour.pareto import Fitness
-from stealthtour.scenario import SolverParams, generate_instance, with_overrides
+from stealthtour.scenario import (
+    SolverParams, generate_instance, load_scenario, scenario_to_dict, with_overrides,
+)
 from stealthtour.sensing import exposure, field_intensity
 
 STEP = 0.5
@@ -74,19 +77,69 @@ def rebuild_repair(ch, sc, rng):
        ops=st.lists(st.tuples(st.sampled_from(["score", "repair"]), st.integers(0, 7)),
                     min_size=1, max_size=30))
 def test_shared_table_matches_direct_rebuild(name, seed, ops):
+    # the table evolve shares across a run, driven by its scoring and repair
     sc = SCENARIOS[name]
     pool = chromosome_pool(sc, seed)
-    table = EdgeTable(sc, STEP)
+    table = EdgeTable(sc)
     for k, (op, i) in enumerate(ops):
         if op == "score":
-            assert evaluate(pool[i], sc, STEP, table) == direct_fitness(pool[i], sc)
+            assert _score_tours([_tour(pool[i], sc)], table, STEP) == [direct_fitness(pool[i], sc)]
             continue
         rngs = [np.random.default_rng([seed, k]) for _ in range(3)]
-        warm = repair_budget(pool[i], sc, rngs[0], table)
+        warm = _repair(pool[i].copy(), sc, rngs[0], table).chromosome
         cold = repair_budget(pool[i], sc, rngs[1])
         assert warm.equals(cold) and warm.equals(rebuild_repair(pool[i], sc, rngs[2]))
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
         assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_repair_joins_keys_as_a_fresh_decode(name, seed):
+    sc = SCENARIOS[name]
+    rng, table = np.random.default_rng(seed), EdgeTable(sc)
+    for ch in chromosome_pool(sc, seed):
+        member = _repair(ch.copy(), sc, rng, table)
+        assert member.fitness is None
+        assert member.tour == _tour(member.chromosome, sc)
+
+
+class LastCandidate:
+    """Stands in for the rng in repair: every drop takes the highest-index candidate."""
+
+    def integers(self, n):
+        return n - 1
+
+
+def test_repair_dropping_the_last_interior_visit_joins_its_keys():
+    # keys rise with the index, so the highest-index visit is the last before the goal
+    m = len(CROSS_1.locations)
+    rng = np.random.default_rng(4)
+    ch = Chromosome(np.arange(m) / (m - 1.0), rng.random(m) * 2.0 * np.pi,
+                    1.0 + rng.random(m))
+    table = EdgeTable(CROSS_1)
+    member = _repair(ch.copy(), CROSS_1, LastCandidate(), table)
+    kept = int((member.chromosome.keys >= 0.0).sum())  # interior visits kept, plus two
+    assert 2 < kept < m
+    assert np.array_equal(member.chromosome.keys[:kept - 1], ch.keys[:kept - 1])
+    assert (member.chromosome.keys[kept - 1:-1] < 0.0).all()
+    assert member.tour == _tour(member.chromosome, CROSS_1)
+    # the goal is reached with the radius of the segment into the last dropped visit
+    assert member.tour[-1][4] == ch.rhos[kept - 2]
+    assert table.tour_length(member.tour) <= CROSS_1.t_max
+
+
+def test_repair_falls_back_to_the_cheapest_direct_leg():
+    # the start-goal line is 31.6 m; headings turned away make every tour longer than 33
+    sc = with_overrides(CROSS_1, t_max=33.0)
+    m = len(sc.locations)
+    bearing = math.atan2(sc.goal.y - sc.start.y, sc.goal.x - sc.start.x) % (2.0 * np.pi)
+    ch = Chromosome(np.linspace(0.0, 1.0, m), np.full(m, (bearing + np.pi) % (2.0 * np.pi)),
+                    np.full(m, 2.0))
+    member = _repair(ch.copy(), sc, np.random.default_rng(0), EdgeTable(sc))
+    assert member.tour == _tour(member.chromosome, sc) == [(0, bearing, m - 1, bearing, 1.0)]
+    assert (member.chromosome.keys[1:-1] < 0.0).all()
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -96,9 +149,10 @@ def test_repairing_a_repaired_chromosome_changes_nothing(name, seed, index):
     # evolve skips the repair of a child equal to a member on this fact
     sc = SCENARIOS[name]
     rng, table = np.random.default_rng(seed), EdgeTable(sc)
-    member = initialize_population(sc, SolverParams(population_size=8), rng, table)[index]
+    member = _initial_members(sc, SolverParams(population_size=8), rng, table)[index]
     state, entries, solved = rng.bit_generator.state, dict(table.edges), table.solved
-    assert repair_budget(member, sc, rng, table).equals(member)
+    again = _repair(member.chromosome.copy(), sc, rng, table)
+    assert again.chromosome.equals(member.chromosome) and again.tour == member.tour
     assert rng.bit_generator.state == state
     assert table.edges == entries and table.solved == solved
 
@@ -114,23 +168,24 @@ def test_evaluate_all_equals_one_at_a_time(name, seed, batch):
         mp.setattr(sensing, "BATCH_PAIRS", batch)
         assert evaluate_all(pool, sc, STEP) == one_at_a_time
         # a shared table holding some lengths from repair, then every exposure
-        table = EdgeTable(sc, STEP)
-        repair_budget(pool[0], sc, np.random.default_rng(seed), table)
-        assert evaluate_all(pool, sc, STEP, table) == one_at_a_time
-        assert evaluate_all(pool, sc, STEP, table) == one_at_a_time
+        table = EdgeTable(sc)
+        _repair(pool[0].copy(), sc, np.random.default_rng(seed), table)
+        tours = [_tour(ch, sc) for ch in pool]
+        assert _score_tours(tours, table, STEP) == one_at_a_time
+        assert _score_tours(tours, table, STEP) == one_at_a_time
 
 
-def test_table_refuses_another_scenario_or_step():
-    ch = chromosome_pool(CROSS_1, 0)[0]
-    table = EdgeTable(CROSS_1, STEP)
-    with pytest.raises(ValueError, match="edge table"):
-        evaluate(ch, CROSS_1, STEP / 2, table)
-    with pytest.raises(ValueError, match="edge table"):
-        evaluate(ch, SCENARIOS["fixed-headings"], STEP, table)
-    with pytest.raises(ValueError, match="edge table"):
-        repair_budget(ch, SCENARIOS["fixed-headings"], np.random.default_rng(0), table)
-    # an equal scenario rebuilt from scratch is the same scenario
-    assert evaluate(ch, generate_instance("cross", 1), STEP, table) == direct_fitness(ch, CROSS_1)
+def test_reward_sum_starts_at_positive_zero():
+    # rewards are added to 0.0, and 0.0 + -0.0 is +0.0: a sum begun from the
+    # first reward would give -0.0
+    data = scenario_to_dict(CROSS_1)
+    for loc in data["locations"]:
+        loc["reward"] = -0.0
+    sc = load_scenario(json.dumps(data))
+    assert all(math.copysign(1.0, loc.reward) == -1.0 for loc in sc.locations)
+    ch = chromosome_pool(sc, 3)[0]
+    rewards = [evaluate(ch, sc, STEP).reward, evolution.score(decode(ch, sc), sc, STEP).reward]
+    assert [math.copysign(1.0, r) for r in rewards] == [1.0, 1.0]
 
 
 def test_table_counts_its_traffic_on_the_benchmark_solve():

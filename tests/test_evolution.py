@@ -22,8 +22,8 @@ from stealthtour.evolution import (
     repair_budget,
     sample_von_mises,
     _Member,
+    _tour,
     _update_archive,
-    _visits,
 )
 from stealthtour.geometry import Pose, dubins_shortest
 from stealthtour.oracles import bessel_i0, bessel_i1, decoded_tour, update_archive_reference
@@ -394,7 +394,7 @@ def test_archive_by_bisection_equals_pairwise_scan(pool, batches):
     for batch in batches:
         population = [pool[i % len(pool)] for i, _ in batch]
         fits = [fit for _, fit in batch]
-        members = [_Member(fit, ch, _visits(ch, sc)) for ch, fit in zip(population, fits)]
+        members = [_Member(fit, ch, _tour(ch, sc)) for ch, fit in zip(population, fits)]
         archive = _update_archive(archive, members)
         reference = update_archive_reference(reference, population, fits, sc)
         assert [m.fitness for m in archive] == [s.fitness for s in reference]

@@ -108,12 +108,13 @@ def test_every_evaluated_tour_obeys_the_model(monkeypatch, tmp_path, name):
     # to a fresh decode and to the whole tour model
     scored, passes = evolution._scored, []
 
-    def checked(children, scenario, exposure_step, table):
-        offspring = scored(children, scenario, exposure_step, table)
+    def checked(children, table, exposure_step):
+        offspring = scored(children, table, exposure_step)
+        scenario = table.scenario
         chromosomes = [m.chromosome for m in offspring]
         assert [m.fitness for m in offspring] == evaluate_all(chromosomes, scenario, exposure_step)
         for m in offspring:
-            assert m.tour == evolution._visits(m.chromosome, scenario)
+            assert m.tour == evolution._tour(m.chromosome, scenario)
             assert check_tour(scenario, decode(m.chromosome, scenario), m.fitness.length) == []
         passes.append(len(offspring))
         return offspring

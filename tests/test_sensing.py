@@ -12,10 +12,11 @@ from stealthtour.scenario import generate_instance
 from stealthtour.sensing import (
     QuadratureTooLargeError,
     SensorField,
-    curve_exposures,
+    curve_row,
     exposure,
     field_intensity,
     intensity_many,
+    row_exposures,
     sensing_value,
 )
 
@@ -95,8 +96,10 @@ def straight(x0, x1):
 def test_exposure_empty_field_and_bad_step():
     empty = SensorField(nodes=(), alpha=50.0, mu=2.0, cap=30.0)
     assert exposure(empty, straight(-10, 10), 0.05) == 0.0
-    with pytest.raises(ValueError):
-        exposure(one_node(), straight(-10, 10), 0.0)
+    for field, step in [(one_node(), 0.0), (one_node(), math.inf), (empty, math.inf),
+                        (one_node(), math.nan)]:
+        with pytest.raises(ValueError, match="finite and positive"):
+            exposure(field, straight(-10, 10), step)
 
 
 def test_exposure_sample_count_is_bounded(monkeypatch):
@@ -112,7 +115,7 @@ def test_exposure_sample_count_is_bounded(monkeypatch):
     monkeypatch.setattr(sensing, "_simpson_run", None)
     short, long = straight(-1, 1).curves[0], straight(-10, 10).curves[0]
     with pytest.raises(QuadratureTooLargeError, match="point-sensor pairs"):
-        curve_exposures(three, [short, long], 0.05)
+        row_exposures(three, [curve_row(short), curve_row(long)], 0.05)
 
 
 def test_exposure_matches_arctan_closed_form():
@@ -174,7 +177,7 @@ def test_curve_exposures_equal_one_curve_at_a_time(field, specs, step, batch):
     curves = [dubins_shortest(a, a if b is None else b, r) for a, b, r in specs]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sensing, "BATCH_PAIRS", batch)
-        got = curve_exposures(field, curves, step)
+        got = row_exposures(field, [curve_row(c) for c in curves], step)
     assert got == [simpson_curve_exposure(field, c, step) for c in curves]
 
 
@@ -185,5 +188,5 @@ def test_curve_exposures_place_samples_as_sample_many_when_segment_ends_round_pa
     curve = dubins_shortest(Pose(24.0, 8.0, 0.0), Pose(20.0, 5.0, math.pi), 1.5)
     assert curve.seg_params[0] + curve.seg_params[1] > curve.length
     for step in (0.05, 0.3, 1.0):
-        assert curve_exposures(FIELDS["cross"], [curve], step) == [
+        assert row_exposures(FIELDS["cross"], [curve_row(curve)], step) == [
             simpson_curve_exposure(FIELDS["cross"], curve, step)]
