@@ -32,6 +32,7 @@ from .scenario import (
     with_overrides,
 )
 from .plotting import render_solution_svg
+from .sensing import check_step
 
 
 def _stored_tour(data) -> tuple:
@@ -169,6 +170,7 @@ def cmd_evaluate(args) -> int:
     else:
         stored = _front_member(json.loads(Path(args.report).read_text()), args.index)
     plan = plan_from_tour(sc, *_stored_tour(stored))
+    check_step(args.exposure_step)
     # a plan that breaks the model is not scored: a radius far out of range
     # can make its curves, and so the exposure quadrature, arbitrarily long
     violations = check_tour(sc, plan)

@@ -50,7 +50,7 @@ class InfeasibleScenarioError(RuntimeError):
 
 @dataclass
 class Chromosome:
-    """Per-location genes: sort key (-1 = inactive), heading, radius."""
+    """Per-location genes: sort key (-1 = inactive; ignored at start and goal), heading, radius."""
 
     keys: np.ndarray
     thetas: np.ndarray
@@ -80,12 +80,13 @@ class TourPlan:
 def _visits(chromosome: Chromosome, scenario: Scenario) -> tuple[list, list, list]:
     """Visit order, per-visit headings and per-segment radii of the decoded tour.
 
-    The order sorts the active genes by key, ties by index, headings are taken
-    after the fixed and closed overrides and reduced to [0, 2*pi) as ``Pose``
-    reduces them, and a segment's radius is its first visit's gene.
+    The order is the start, the active interior genes by key, ties by index,
+    and the goal; headings follow the fixed and closed overrides, reduced to
+    [0, 2*pi) as ``Pose`` reduces them; a segment's radius is its first visit's gene.
     """
     keys = chromosome.keys.tolist()
-    order = sorted([i for i, k in enumerate(keys) if k >= 0.0], key=keys.__getitem__)
+    interior = sorted([i for i in range(1, len(keys) - 1) if keys[i] >= 0.0], key=keys.__getitem__)
+    order = [0, *interior, len(keys) - 1]
     thetas = chromosome.thetas.tolist()
     if scenario.fixed_headings:
         for lid, th in scenario.fixed_headings.items():
@@ -111,7 +112,8 @@ def _edge_keys(order, headings, radii) -> list[tuple]:
     Headings come reduced to [0, 2*pi), from ``_visits`` or a ``Pose``, so one
     curve has one key whichever route its headings came by.
     """
-    _check_chain(len(order), len(radii))
+    if len(order) < 2 or len(radii) != len(order) - 1:
+        raise ValueError("a tour needs at least 2 poses and one radius per segment")
     return [(order[k], headings[k], order[k + 1], headings[k + 1], r) for k, r in enumerate(radii)]
 
 
@@ -168,13 +170,6 @@ class EdgeTable:
                 entry = edges[key] = (self.row(key)[0], None)
             total += entry[0]
         return total
-
-
-def _check_chain(poses: int, radii: int) -> None:
-    if poses < 2:
-        raise ValueError("a tour needs at least 2 poses")
-    if radii != poses - 1:
-        raise ValueError("need exactly one radius per segment")
 
 
 def evaluate(chromosome: Chromosome, scenario: Scenario, exposure_step: float) -> Fitness:
@@ -335,17 +330,11 @@ def _repair(out: Chromosome, scenario: Scenario, rng: np.random.Generator, table
             break
         drop = candidates.pop(int(rng.integers(len(candidates))))
         out.keys[drop] = -1.0
-        # the order stays stably sorted by key without the dropped visit: the
-        # segment from the visit before it to the one after takes the radius
-        # of the segment into it; a first or last visit takes its one key along
-        p = next((k for k, key in enumerate(keys) if key[0] == drop), len(keys))
-        if 0 < p < len(keys):
-            a, theta_a, _, _, radius = keys[p - 1]
-            keys[p - 1:p + 1] = [(a, theta_a, keys[p][2], keys[p][3], radius)]
-        else:
-            del keys[min(p, len(keys) - 1)]
-        if not keys:
-            raise ValueError("a tour needs at least 2 poses")
+        # the order stays sorted without the dropped visit: the segment from the
+        # visit before it to the one after takes the radius of the segment into it
+        p = next(k for k, key in enumerate(keys) if key[0] == drop)
+        a, theta_a, _, _, radius = keys[p - 1]
+        keys[p - 1:p + 1] = [(a, theta_a, keys[p][2], keys[p][3], radius)]
         length = table.tour_length(keys)
     return _Member(None, out, keys)
 
@@ -528,7 +517,8 @@ def _reference_directions(count: int) -> np.ndarray:
 
 def _associate(norm_objs: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest reference line per point: (index, perpendicular distance)."""
-    proj = norm_objs @ dirs.T
+    # elementwise, as BLAS rounds by CPU kernel; the cross product would move the search
+    proj = norm_objs[:, :1] * dirs[:, 0] + norm_objs[:, 1:] * dirs[:, 1]
     sq = (norm_objs**2).sum(axis=1, keepdims=True) - proj**2
     dist = np.sqrt(np.maximum(sq, 0.0))
     idx = dist.argmin(axis=1)

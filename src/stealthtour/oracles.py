@@ -287,7 +287,8 @@ def straight_exposure_closed_form(alpha: float, lateral: float, t0: float, t1: f
 
 
 def simpson_curve_exposure(field: SensorField, curve: DubinsPath, step: float) -> float:
-    """Simpson exposure of one curve alone: ``sensing.row_exposures`` must equal it bit for bit."""
+    """Simpson exposure of one curve alone: ``sensing.row_exposures`` must equal it bit for bit,
+    as both add by ``np.add.reduceat`` (``(weights * vals).sum()`` rounds otherwise)."""
     if curve.length <= 0.0 or not field.nodes:
         return 0.0
     n = 2 * max(1, math.ceil(curve.length / (2.0 * step)))
@@ -298,7 +299,7 @@ def simpson_curve_exposure(field: SensorField, curve: DubinsPath, step: float) -
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(weights, vals))
+    return float(h / 3.0 * np.add.reduceat(weights * vals, [0])[0])
 
 
 # --- brute-force dominance classification ---------------------------------

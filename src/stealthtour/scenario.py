@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sensing import WORKSPACE_BOUND, SensorField
+from .sensing import WORKSPACE_BOUND, SensorField, check_step
 
 
 # Concentrations the von Mises heading sampler accepts.  Inside this range the
@@ -338,7 +338,6 @@ class SolverParams:
             raise ValueError(f"von_mises_kappa must lie in [{lo:g}, {hi:g}]")
         if self.selection not in ("reference-point", "crowding-distance"):
             raise ValueError("selection must be reference-point or crowding-distance")
-        if not 0.0 < self.exposure_step < math.inf:
-            raise ValueError("exposure_step must be finite and positive")
+        check_step(self.exposure_step)
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ValueError("seed must be >= 0")

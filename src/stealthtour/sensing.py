@@ -3,7 +3,11 @@
 A node senses a point with strength alpha / distance**mu, clamped at
 ``cap`` so the integrand stays bounded at the node position.  Exposure is
 the arc-length integral of the summed intensity along a tour, computed by
-composite Simpson quadrature per curve, many curves per numpy pass.
+composite Simpson quadrature per curve, many curves per numpy pass.  Its
+bytes are one set on every x86-64 host: it calls no BLAS, whose rounding
+follows the CPU, and of numpy only ``+ - * /``, ``sqrt``, ``hypot``, ``sin``,
+``cos``, ``minimum``, ``mod``, ``where``, add reductions and ``power`` at mu = 2,
+whose bits do not follow the SIMD dispatch; ``power`` at other mu does.
 """
 
 from __future__ import annotations
@@ -89,6 +93,12 @@ def intensity_many(field: SensorField, xs: np.ndarray, ys: np.ndarray) -> np.nda
     return vals.sum(axis=1)
 
 
+def check_step(step: float) -> None:
+    """Refuse a quadrature spacing that is not finite and positive."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("exposure step must be finite and positive")
+
+
 def quadrature_pairs(field: SensorField, length: float, step: float) -> int:
     """(Simpson point, sensor) pairs of one curve's exposure at spacing <= step.
 
@@ -96,8 +106,7 @@ def quadrature_pairs(field: SensorField, length: float, step: float) -> int:
     is 0.0.  Raises ``QuadratureTooLargeError``, before anything is allocated,
     for a curve that would take more than ``MAX_QUADRATURE_PAIRS``.
     """
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError("step must be finite and positive")
+    check_step(step)
     sensors = len(field.nodes)
     if length <= 0.0 or not sensors:
         return 0
@@ -130,7 +139,7 @@ def row_exposures(field: SensorField, rows, step: float) -> list[float]:
     point-sensor pairs, so a run holds fewer than ``BATCH_PAIRS`` plus one
     curve's pairs whatever the number of rows.  Every value is bit-identical
     to integrating its curve alone with ``np.linspace``,
-    ``geometry.sample_many`` and one ``np.dot``, the route kept in
+    ``geometry.sample_many`` and one ``np.add.reduceat``, the route kept in
     ``oracles.simpson_curve_exposure``.
     """
     pairs = [quadrature_pairs(field, row[0], step) for row in rows]
@@ -199,8 +208,7 @@ def _simpson_run(field: SensorField, rows, step: float) -> list[float]:
     vals = intensity_many(field, xs, ys)
     weights = np.where(i % 2 == 1, 4.0, 2.0)
     weights[first] = weights[last] = 1.0
-    dots = [np.dot(weights[a:b], vals[a:b]) for a, b in zip(first.tolist(), (last + 1).tolist())]
-    return (h / 3.0 * np.array(dots)).tolist()
+    return (h / 3.0 * np.add.reduceat(weights * vals, first)).tolist()
 
 
 def _move(x, y, theta, sin_t, cos_t, turn, ds, signed_radius):

@@ -113,12 +113,12 @@ def test_evaluate_bad_exposure_step_exits_one(tmp_path, cross, capsys, step):
     sc_file.write_text(save_scenario(cross))
     start, goal = cross.locations[0], cross.locations[-1]
     tour_file = tmp_path / "tour.json"
-    tour_file.write_text(json.dumps({"ids": [start.id, goal.id], "headings": [0.0, 0.0],
-                                     "radii": [1.0]}))
-    rc = main(["evaluate", "--scenario", str(sc_file), "--tour", str(tour_file),
-               "--exposure-step", step])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    for radius in (1.0, 50.0):  # the second radius breaks the model
+        tour_file.write_text(json.dumps({"ids": [start.id, goal.id], "headings": [0.0, 0.0],
+                                         "radii": [radius]}))
+        rc = main(["evaluate", "--scenario", str(sc_file), "--tour", str(tour_file),
+                   "--exposure-step", step])
+        assert_one_error_line(capsys, rc)
 
 
 def test_evaluate_tour_file_and_infeasible(tmp_path, cross, capsys):

@@ -13,6 +13,7 @@ from stealthtour.evolution import (
     Chromosome,
     InfeasibleScenarioError,
     align_headings,
+    check_tour,
     crossover_two_point,
     decode,
     evaluate,
@@ -231,6 +232,30 @@ def test_repair_raises_when_hopeless(rng):
     ch = chromosome([0.0, -1.0, 1.0])
     with pytest.raises(InfeasibleScenarioError):
         repair_budget(ch, sc, rng)
+
+
+CROSS_1 = generate_instance("cross", 1)
+
+
+def cross_1_genes():
+    # keys from the whole float line: the start's and the goal's may be
+    # inactive or sort anywhere among the interior keys
+    gene = st.tuples(st.floats(allow_nan=False), st.floats(0.0, TWO_PI, exclude_max=True),
+                     st.floats(CROSS_1.rho_min, CROSS_1.rho_max))
+    size = len(CROSS_1.locations)
+    return st.lists(gene, min_size=size, max_size=size)
+
+
+@settings(deadline=None)
+@given(genes=cross_1_genes(), seed=st.integers(0, 2**32 - 1))
+def test_decode_and_repair_keep_start_and_goal_whatever_the_keys(genes, seed):
+    sc = CROSS_1
+    ch = Chromosome(*(np.array(column) for column in zip(*genes)))
+    plan = decode(ch, sc)
+    assert plan.ids[0] == sc.start.id and plan.ids[-1] == sc.goal.id
+    out = repair_budget(ch, sc, np.random.default_rng(seed))
+    fit = evaluate(out, sc, 1.0)
+    assert check_tour(sc, decode(out, sc), fit.length) == []
 
 
 def test_initialize_population_deterministic_and_feasible(cross):
