@@ -3,7 +3,7 @@
 from .geometry import CompositePath, DubinsPath, Pose, build_tour, dubins_shortest, path_length, sample
 from .pareto import Fitness, dominates, hypervolume_2d, non_dominated_sort
 from .scenario import Scenario, ScenarioError, SolverParams, generate_instance, load_scenario, save_scenario
-from .sensing import SensorField, exposure, field_intensity, sensing_value
+from .sensing import SensorField, exposure
 from .evolution import (
     Chromosome,
     EvolveResult,
@@ -18,5 +18,6 @@ from .evolution import (
     repair_budget,
     sample_von_mises,
 )
+from .oracles import field_intensity, sensing_value
 
 __version__ = "0.1.0"

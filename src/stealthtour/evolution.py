@@ -15,8 +15,9 @@ so nothing is decoded twice.  The population, the survivors and the
 archive share members as they are.
 ``_pareto_survivors`` selects NSGA-style, with either reference-point
 niching or crowding distance, and keeps an elitist archive of the best
-(reward, exposure) front seen so far, sorted by fitness and updated by
-bisection; ``_best_survivors`` is the single-objective baseline, which ranks
+(reward, exposure) front seen so far, sorted by fitness: the first
+non-dominated layer of the archive and each generation's offspring;
+``_best_survivors`` is the single-objective baseline, which ranks
 by reward and keeps the one best tour.  Only the final archive is decoded
 into plans.  Scoring and repair read each Dubins curve's length and
 exposure from an ``EdgeTable``: ``evolve`` shares one across its run, and
@@ -27,9 +28,7 @@ curves' exposures with one ``sensing.row_exposures`` call.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +36,8 @@ import numpy as np
 from . import sensing
 from .geometry import Pose, dubins_solve
 from .geometry import build_tour  # noqa: F401  (a name perfbench/tracing.py wraps)
-from .pareto import Fitness, crowding_distance, dominates, hypervolume_2d, non_dominated_sort
+from .pareto import Fitness, crowding_distance, hypervolume_2d, non_dominated_sort
+from .pareto import dominates  # noqa: F401  (a name perfbench/tracing.py wraps)
 from .scenario import KAPPA_RANGE, Scenario, ScenarioError, SolverParams, json_numbers
 from .sensing import exposure  # noqa: F401  (a name perfbench/tracing.py wraps)
 
@@ -468,44 +468,18 @@ def _genes(chromosome: Chromosome) -> tuple[bytes, bytes, bytes]:
     return chromosome.keys.tobytes(), chromosome.thetas.tobytes(), chromosome.rhos.tobytes()
 
 
-# sort keys of archive members
-_by_reward = attrgetter("fitness.reward")
-_by_exposure = attrgetter("fitness.exposure")
-_by_fitness = attrgetter("fitness")
-
-
 def _update_archive(archive: list[_Member], members) -> list[_Member]:
-    """Insert new members, as they are, into the elitist non-dominated archive,
-    kept sorted by fitness.
-
-    Along a non-dominated set sorted by reward, exposure rises strictly with
-    reward and members of equal reward share one exposure (Kung, Luccio &
-    Preparata, J. ACM 1975).  So only the first member with at least a
-    candidate's reward can dominate it, and the members the candidate
-    dominates are the run just below that member whose exposure is at least
-    its own, plus that member's reward group if its exposure is higher.
-    Equal-fitness members with distinct tours are both kept; exact (fitness,
-    tour) duplicates collapse to the first.  A candidate goes after the
-    members of equal fitness, where a stable sort of the arrivals puts it.
+    """The elitist archive: the first non-dominated layer of the archive and the
+    new members, as they are, in fitness order.  The pool is sorted stably before
+    ``non_dominated_sort``, whose layers come in index order, so equal fitnesses
+    stay in arrival order; an exact (fitness, tour) duplicate collapses to the first.
     """
-    kept = list(archive)
-    for member in members:
-        fit = member.fitness
-        lo = bisect_left(kept, fit.reward, key=_by_reward)
-        above = kept[lo].fitness if lo < len(kept) else None
-        if above is not None and dominates(above, fit):
-            continue
-        start = bisect_left(kept, fit.exposure, 0, lo, key=_by_exposure)
-        stop = lo
-        if above is not None and above.reward == fit.reward and above.exposure > fit.exposure:
-            stop = bisect_right(kept, fit.reward, lo, key=_by_reward)
-        del kept[start:stop]
-        first = bisect_left(kept, fit, key=_by_fitness)
-        end = bisect_right(kept, fit, first, key=_by_fitness)
-        if any(m.tour == member.tour for m in kept[first:end]):
-            continue
-        kept.insert(end, member)
-    return kept
+    pool = sorted([*archive, *members], key=lambda m: m.fitness)
+    layers = non_dominated_sort([m.fitness for m in pool])
+    kept = {}
+    for i in layers[0] if layers else ():
+        kept.setdefault((pool[i].fitness, tuple(pool[i].tour)), pool[i])
+    return list(kept.values())
 
 
 def _reference_directions(count: int) -> np.ndarray:

@@ -2,13 +2,14 @@
 
 The oracles deliberately re-derive results through different routes than
 the main code paths: one solver per family for the shortest Dubins curve,
-tangent-circle geometry for curve lengths, a closed-form integral for
-exposure, one curve at a time for the batched exposure quadrature,
-brute-force pairwise dominance for front sorting and for the archive, and
-series-evaluated Bessel functions for the circular sampler.  Each
-``check_*(n, seed) -> (ok, detail)`` at the end compares the main path with
-one of them; ``stealthtour oracle`` and the acceptance criteria run the same
-checks.  The main path never imports this module.
+tangent-circle geometry for curve lengths, one node at a time for the
+field intensity, a closed-form integral for exposure, one curve at a time
+for the batched exposure quadrature, brute-force pairwise dominance for
+front sorting and for the archive, and series-evaluated Bessel functions
+for the circular sampler.  Each ``check_*(n, seed) -> (ok, detail)`` at the
+end compares the main path with one of them; ``stealthtour oracle`` and the
+acceptance criteria run the same checks.  No main-path module imports this
+one; the package re-exports its pointwise intensity.
 """
 
 from __future__ import annotations
@@ -273,6 +274,26 @@ def family_oracle_length(start: Pose, end: Pose, rho: float, family: str) -> flo
         if best is None or total < best:
             best = total
     return best
+
+
+# --- pointwise field intensity, one node at a time ------------------------
+
+
+def sensing_value(field: SensorField, node_index: int, x) -> float:
+    """Single-node sensing strength at a point, saturated at the cap."""
+    nx, ny = field.nodes[node_index]
+    dist = math.hypot(nx - x[0], ny - x[1])
+    if dist == 0.0:
+        return field.cap
+    return min(field.cap, field.alpha / dist**field.mu)
+
+
+def field_intensity(field: SensorField, x) -> float:
+    """Sum of all nodes' sensing values at a point."""
+    total = 0.0  # left to right: from Python 3.12 ``sum`` compensates
+    for i in range(len(field.nodes)):
+        total += sensing_value(field, i, x)
+    return total
 
 
 # --- closed-form exposure of a straight leg past one node -----------------

@@ -71,26 +71,18 @@ def crowding_distance(fits: list[Fitness], front: list[int]) -> np.ndarray:
 
 
 def hypervolume_2d(front: list[Fitness], reference: tuple[float, float]) -> float:
-    """Area dominated by the front relative to a (reward, exposure) reference."""
+    """Area dominated by the front relative to a (reward, exposure) reference,
+    summed by rising reward over the first layer of ``non_dominated_sort``."""
     r_ref, e_ref = reference
     for f in front:
         if f.reward < r_ref or f.exposure > e_ref:
             raise ValueError("front point does not dominate the reference")
     if not front:
         return 0.0
-    # reduce to the maximal set, sorted by ascending reward
-    pts = sorted({(f.reward, f.exposure) for f in front})
-    maximal = []
-    best_e = np.inf
-    for r, e in reversed(pts):
-        if e < best_e:
-            maximal.append((r, e))
-            best_e = e
-    maximal.reverse()
     area = 0.0
     prev_r = r_ref
-    for r, e in maximal:
+    first = non_dominated_sort(front)[0]
+    for r, e in sorted((front[i].reward, front[i].exposure) for i in first):
         area += (r - prev_r) * (e_ref - e)
         prev_r = r
     return area
-

@@ -85,6 +85,9 @@ class Scenario:
                     raise ScenarioError(f"fixed_headings: unknown location id {lid}")
                 if not math.isfinite(th):
                     raise ScenarioError(f"fixed_headings[{lid}]: must be finite")
+                if self.closed and lid == goal.id:
+                    raise ScenarioError(
+                        f"fixed_headings[{lid}]: the goal of a closed circuit takes the start's heading")
 
     @property
     def start(self) -> TargetLocation:

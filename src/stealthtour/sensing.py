@@ -59,23 +59,6 @@ class SensorField:
         return np.asarray(self.nodes, dtype=float).reshape(len(self.nodes), 2)
 
 
-def sensing_value(field: SensorField, node_index: int, x) -> float:
-    """Single-node sensing strength at a point, saturated at the cap."""
-    nx, ny = field.nodes[node_index]
-    dist = math.hypot(nx - x[0], ny - x[1])
-    if dist == 0.0:
-        return field.cap
-    return min(field.cap, field.alpha / dist**field.mu)
-
-
-def field_intensity(field: SensorField, x) -> float:
-    """Sum of all nodes' sensing values at a point."""
-    total = 0.0  # left to right: from Python 3.12 ``sum`` compensates
-    for i in range(len(field.nodes)):
-        total += sensing_value(field, i, x)
-    return total
-
-
 def intensity_many(field: SensorField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Vectorized field intensity at many points."""
     if not field.nodes:

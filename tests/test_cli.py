@@ -206,6 +206,16 @@ def assert_one_error_line(capsys, rc, *absent):
     assert not any(path.exists() for path in absent)
 
 
+def test_solve_closed_on_a_file_that_pins_the_goal_exits_one(tmp_path, capsys):
+    data = scenario_to_dict(generate_instance("grid", 2))
+    data["fixed_headings"] = {str(data["start_id"]): 2.0, str(data["goal_id"]): 1.0}
+    sc_file = tmp_path / "sc.json"
+    sc_file.write_text(json.dumps(data))
+    rc = main(["solve", "--scenario", str(sc_file), "--closed", "--population", "4",
+               "--generations", "0", "--out-dir", str(tmp_path)])
+    assert_one_error_line(capsys, rc, tmp_path / "front.csv")
+
+
 HUGE_INT = 10**401  # past float range; json writes and reads it exactly
 
 

@@ -16,13 +16,14 @@ from stealthtour.evolution import (
 )
 from stealthtour.geometry import FAMILIES, Pose, build_tour
 from stealthtour.oracles import (
-    decoded_tour, dubins_shortest_reference, family_oracle_length, total_reward,
+    decoded_tour, dubins_shortest_reference, family_oracle_length, field_intensity,
+    total_reward,
 )
 from stealthtour.pareto import Fitness
 from stealthtour.scenario import (
     SolverParams, generate_instance, load_scenario, scenario_to_dict, with_overrides,
 )
-from stealthtour.sensing import exposure, field_intensity
+from stealthtour.sensing import exposure
 
 STEP = 0.5
 CROSS_1 = generate_instance("cross", 1)

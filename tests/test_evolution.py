@@ -1,6 +1,8 @@
+import importlib
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,7 +414,7 @@ def heading_twin(ch):
 @given(pool=st.lists(GENE_CHROMOSOMES, min_size=1, max_size=4),
        batches=st.lists(st.lists(st.tuples(st.integers(0, 7), GRID_FITNESS), max_size=12),
                         min_size=1, max_size=5))
-def test_archive_by_bisection_equals_pairwise_scan(pool, batches):
+def test_archive_equals_pairwise_scan(pool, batches):
     sc = ARCHIVE_SCENARIO
     pool = pool + [heading_twin(ch) for ch in pool]
     archive, reference = [], []
@@ -426,3 +428,13 @@ def test_archive_by_bisection_equals_pairwise_scan(pool, batches):
         for member, solution in zip(archive, reference):
             assert member.chromosome.equals(solution.chromosome)
             assert decode(member.chromosome, sc) == solution.plan
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # perfbench/tracing.py wraps names that evolve never calls: evolution.py's noqa imports
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    dominates = evolution.dominates
+    with tracing.Tracer().installed():
+        assert evolution.dominates is not dominates
+    assert evolution.dominates is dominates

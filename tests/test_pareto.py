@@ -102,6 +102,16 @@ def test_hypervolume_rejects_non_dominating_point():
         hypervolume_2d([fit(1.0, 11.0)], (0.0, 10.0))
 
 
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_fits())
+def test_hypervolume_counts_dominated_cells_on_ties(fits):
+    # rewards are halves in [0, 4] and exposures integers in [0, 8], so the area is
+    # a whole number of 0.5 x 1 cells and every float sum on the way is exact
+    cells = sum(any(f.reward >= r and f.exposure <= e for f in fits)
+                for r in (k / 2.0 for k in range(9)) for e in range(9))
+    assert hypervolume_2d(fits, (-0.5, 9.0)) == 0.5 * cells
+
+
 def test_hypervolume_matches_monte_carlo(rng):
     pts = sorted((float(r), 0.0) for r in rng.uniform(0.5, 10.0, 50))
     front = [fit(r, 100.0 * (i + 1) / 50.0) for i, (r, _) in enumerate(pts)]

@@ -88,6 +88,18 @@ def test_closed_requires_coincident_endpoints():
         load_scenario(json.dumps(bad))
 
 
+def test_closed_scenario_refuses_a_fixed_goal_heading():
+    # the goal of a closed circuit takes the start's heading, so pinning it would be ignored
+    locations = [MINIMAL["locations"][0], dict(MINIMAL["locations"][1], x=0.0)]
+    pinned = dict(MINIMAL, locations=locations, fixed_headings={"0": 2.0, "1": 1.0})
+    with pytest.raises(ScenarioError, match=r"fixed_headings\[1\]: .*start's heading"):
+        load_scenario(json.dumps(dict(pinned, closed=True)))
+    with pytest.raises(ScenarioError, match=r"fixed_headings\[1\]"):
+        with_overrides(load_scenario(json.dumps(pinned)), closed=True)
+    start_only = load_scenario(json.dumps(dict(pinned, closed=True, fixed_headings={"0": 2.0})))
+    assert start_only.fixed_headings == {0: 2.0}
+
+
 def test_generate_instance_deterministic():
     a = generate_instance("cross", 3)
     b = generate_instance("cross", 3)

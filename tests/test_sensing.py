@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stealthtour import sensing
+import stealthtour
+from stealthtour import oracles, sensing
 from stealthtour.geometry import Pose, build_tour, dubins_shortest
-from stealthtour.oracles import simpson_curve_exposure, straight_exposure_closed_form
+from stealthtour.oracles import (
+    field_intensity, sensing_value, simpson_curve_exposure, straight_exposure_closed_form,
+)
 from stealthtour.scenario import generate_instance
 from stealthtour.sensing import (
     QuadratureTooLargeError,
     SensorField,
     curve_row,
     exposure,
-    field_intensity,
     intensity_many,
     row_exposures,
-    sensing_value,
 )
 
 
@@ -57,6 +58,11 @@ def test_field_parameter_validation():
         SensorField(nodes=(), alpha=0.0, mu=2.0, cap=30.0)
     with pytest.raises(ValueError):
         SensorField(nodes=((math.inf, 0.0),), alpha=1.0, mu=1.0, cap=1.0)
+
+
+def test_package_exports_the_pointwise_intensity():
+    assert stealthtour.sensing_value is oracles.sensing_value
+    assert stealthtour.field_intensity is oracles.field_intensity
 
 
 def test_field_intensity_empty_and_additive():
