@@ -20,9 +20,10 @@ non-dominated layer of the archive and each generation's offspring;
 ``_best_survivors`` is the single-objective baseline, which ranks
 by reward and keeps the one best tour.  Only the final archive is decoded
 into plans.  Scoring and repair read each Dubins curve's length and
-exposure from an ``EdgeTable``: ``evolve`` shares one across its run, and
-every public call makes its own.  A scoring pass integrates its new
-curves' exposures with one ``sensing.row_exposures`` call.
+exposure from an ``EdgeTable``, which solves each edge once: ``evolve``
+shares one across its run, and every public call makes its own.  A
+scoring pass integrates the exposures of the curves it meets unscored with
+one ``sensing.row_exposures`` call.
 """
 
 from __future__ import annotations
@@ -131,55 +132,48 @@ class EdgeTable:
 
     An edge is keyed by ``_edge_keys``.  Its curve is a pure function of the
     key, so an entry holds exactly what ``build_tour`` and ``exposure`` would
-    compute again, and sums of entries in tour order are bit-identical to
-    theirs.  Entries are (length, exposure) floats; exposure stays None until
-    scoring first needs it, as repair needs lengths only.  Edges are solved to
-    float rows (``row``), never to ``Pose`` or ``DubinsPath`` objects, and
-    each scoring pass integrates the rows it solved with one
-    ``sensing.row_exposures`` call.  ``evolve`` shares one table across a
-    run, at one exposure step; every public scoring or repair call makes its
-    own.  ``solved`` counts the curves solved and ``integrated`` the curves
-    whose exposure was integrated.
+    compute, and sums of entries in tour order are bit-identical to theirs.
+    ``row`` alone solves edges, each once, straight to a float row, never to
+    a ``Pose`` or ``DubinsPath``.  An entry has one of two shapes: the
+    edge's row, as ``sensing.row_exposures`` takes it, until scoring first
+    needs its exposure; then (length, exposure), as each scoring pass
+    integrates the rows it meets with one ``row_exposures`` call.  Repair
+    reads lengths only, which both shapes start with.  ``evolve`` shares one
+    table across a run, at one exposure step; every public scoring or repair
+    call makes its own.  ``edges`` holds one entry per curve solved, and
+    ``integrated`` counts the curves whose exposure was integrated.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.rewards = tuple(loc.reward for loc in scenario.locations)
-        self.edges: dict[tuple, tuple[float, float | None]] = {}
-        self.solved = 0
+        self.edges: dict[tuple, tuple] = {}
         self.integrated = 0
 
     def row(self, key: tuple) -> tuple:
-        """The edge's curve as ``sensing.row_exposures`` takes it: (length, radius,
-        first and second segment lengths, start x, start y, start heading, family)."""
-        a, theta_a, b, theta_b, radius = key
-        start, end = self.scenario.locations[a], self.scenario.locations[b]
-        family, seg0, seg1, _, length = dubins_solve(
-            start.x, start.y, theta_a, end.x, end.y, theta_b, radius
-        )
-        self.solved += 1
-        return (length, radius, seg0, seg1, start.x, start.y, theta_a, family)
+        """The edge's entry, solved on first sight to its row: (length, radius, first and
+        second segment lengths, start x, start y, start heading, family)."""
+        entry = self.edges.get(key)
+        if entry is None:
+            a, theta_a, b, theta_b, radius = key
+            start, end = self.scenario.locations[a], self.scenario.locations[b]
+            family, seg0, seg1, _, length = dubins_solve(
+                start.x, start.y, theta_a, end.x, end.y, theta_b, radius
+            )
+            entry = self.edges[key] = (length, radius, seg0, seg1, start.x, start.y, theta_a, family)
+        return entry
 
     def tour_length(self, keys: list[tuple]) -> float:
         """Length of the chained edges, summed from 0.0 in tour order as ``build_tour`` sums it."""
-        edges = self.edges
         total = 0.0
         for key in keys:
-            entry = edges.get(key)
-            if entry is None:
-                entry = edges[key] = (self.row(key)[0], None)
-            total += entry[0]
+            total += self.row(key)[0]
         return total
 
 
 def evaluate(chromosome: Chromosome, scenario: Scenario, exposure_step: float) -> Fitness:
-    return evaluate_all([chromosome], scenario, exposure_step)[0]
-
-
-def evaluate_all(chromosomes, scenario: Scenario, exposure_step: float) -> list[Fitness]:
-    """Fitness of each chromosome's decoded tour, all scored in one pass over a new table."""
-    tours = [_tour(ch, scenario) for ch in chromosomes]
-    return _score_tours(tours, EdgeTable(scenario), exposure_step)
+    """Fitness of the chromosome's decoded tour, scored over a new table."""
+    return _score_tours([_tour(chromosome, scenario)], EdgeTable(scenario), exposure_step)[0]
 
 
 def score(plan: TourPlan, scenario: Scenario, exposure_step: float) -> Fitness:
@@ -191,20 +185,19 @@ def score(plan: TourPlan, scenario: Scenario, exposure_step: float) -> Fitness:
 def _score_tours(tours, table: EdgeTable, exposure_step: float) -> list[Fitness]:
     """Fitness of each tour (a list of edge keys), with curve values from ``table``.
 
-    Each edge still without an exposure is solved once, to a row, in
-    first-seen order.  One ``sensing.row_exposures`` call integrates all
-    those rows, which then fill ``table``, and each tour is summed from it.
+    The tours' entries that are still rows, in first-seen order, are
+    integrated with one ``sensing.row_exposures`` call and replaced by
+    (length, exposure); then each tour is summed from ``table``.
     """
-    edges, fresh = table.edges, {}
+    rows = {}
     for keys in tours:
         for key in keys:
-            entry = edges.get(key)
-            if (entry is None or entry[1] is None) and key not in fresh:
-                fresh[key] = table.row(key)
-    rows = list(fresh.values())
-    values = sensing.row_exposures(table.scenario.field, rows, exposure_step)
-    for key, row, value in zip(fresh, rows, values):
-        edges[key] = (row[0], value)
+            entry = table.row(key)
+            if len(entry) > 2:
+                rows[key] = entry
+    values = sensing.row_exposures(table.scenario.field, list(rows.values()), exposure_step)
+    for (key, row), value in zip(rows.items(), values):
+        table.edges[key] = (row[0], value)
     table.integrated += len(rows)
     return [_fitness(keys, table) for keys in tours]
 
@@ -441,7 +434,7 @@ class EvolveResult:
     stats: list[GenStats]
     budget_violations: int = 0
     evaluations: int = 0
-    curves_solved: int = 0        # Dubins edges solved, from the run's EdgeTable
+    curves_solved: int = 0        # distinct Dubins edges, each solved once by the EdgeTable
     curves_integrated: int = 0    # curves whose exposure was integrated
 
 
@@ -649,14 +642,9 @@ def _scored(children, table: EdgeTable, exposure_step: float) -> list[_Member]:
             for c in children]
 
 
-def evolve(
-    scenario: Scenario,
-    params: SolverParams,
-    rng: np.random.Generator | None = None,
-) -> EvolveResult:
+def evolve(scenario: Scenario, params: SolverParams) -> EvolveResult:
     """Run the generational loop and return the non-dominated front found."""
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(params.seed)
     survive = _best_survivors if params.single_objective else _pareto_survivors
     ref_point = (-1.0, scenario.field.cap * scenario.t_max + 1.0)
     table = EdgeTable(scenario)
@@ -690,6 +678,6 @@ def evolve(
         stats=stats,
         budget_violations=budget_violations,
         evaluations=evaluations,
-        curves_solved=table.solved,
+        curves_solved=len(table.edges),
         curves_integrated=table.integrated,
     )

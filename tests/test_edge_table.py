@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from stealthtour import evolution, geometry, oracles, sensing
 from stealthtour.evolution import (
     Chromosome, EdgeTable, _initial_members, _repair, _score_tours, _tour, decode, evaluate,
-    evaluate_all, evolve, repair_budget,
+    evolve, repair_budget,
 )
 from stealthtour.geometry import FAMILIES, Pose, build_tour
 from stealthtour.oracles import (
@@ -78,16 +78,28 @@ def rebuild_repair(ch, sc, rng):
        ops=st.lists(st.tuples(st.sampled_from(["score", "repair"]), st.integers(0, 7)),
                     min_size=1, max_size=30))
 def test_shared_table_matches_direct_rebuild(name, seed, ops):
-    # the table evolve shares across a run, driven by its scoring and repair
+    # the table evolve shares across a run, driven by its scoring and repair;
+    # it solves each edge once, whichever of the two meets the edge first
     sc = SCENARIOS[name]
     pool = chromosome_pool(sc, seed)
-    table = EdgeTable(sc)
+    table, solves = EdgeTable(sc), []
+
+    def counted_solve(*args):
+        solves.append(args)
+        return geometry.dubins_solve(*args)
+
     for k, (op, i) in enumerate(ops):
-        if op == "score":
-            assert _score_tours([_tour(pool[i], sc)], table, STEP) == [direct_fitness(pool[i], sc)]
-            continue
         rngs = [np.random.default_rng([seed, k]) for _ in range(3)]
-        warm = _repair(pool[i].copy(), sc, rngs[0], table).chromosome
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolution, "dubins_solve", counted_solve)
+            if op == "score":
+                warm = _score_tours([_tour(pool[i], sc)], table, STEP)
+            else:
+                warm = _repair(pool[i].copy(), sc, rngs[0], table).chromosome
+        assert len(solves) == len(table.edges)
+        if op == "score":
+            assert warm == [direct_fitness(pool[i], sc)]
+            continue
         cold = repair_budget(pool[i], sc, rngs[1])
         assert warm.equals(cold) and warm.equals(rebuild_repair(pool[i], sc, rngs[2]))
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
@@ -151,27 +163,27 @@ def test_repairing_a_repaired_chromosome_changes_nothing(name, seed, index):
     sc = SCENARIOS[name]
     rng, table = np.random.default_rng(seed), EdgeTable(sc)
     member = _initial_members(sc, SolverParams(population_size=8), rng, table)[index]
-    state, entries, solved = rng.bit_generator.state, dict(table.edges), table.solved
+    state, entries = rng.bit_generator.state, dict(table.edges)
     again = _repair(member.chromosome.copy(), sc, rng, table)
     assert again.chromosome.equals(member.chromosome) and again.tour == member.tour
     assert rng.bit_generator.state == state
-    assert table.edges == entries and table.solved == solved
+    assert table.edges == entries
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([1, 3000, sensing.BATCH_PAIRS]))
-def test_evaluate_all_equals_one_at_a_time(name, seed, batch):
+def test_one_pass_equals_one_at_a_time(name, seed, batch):
     sc = SCENARIOS[name]
     pool = chromosome_pool(sc, seed)
     one_at_a_time = [evaluate(ch, sc, STEP) for ch in pool]
+    tours = [_tour(ch, sc) for ch in pool]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sensing, "BATCH_PAIRS", batch)
-        assert evaluate_all(pool, sc, STEP) == one_at_a_time
-        # a shared table holding some lengths from repair, then every exposure
+        assert _score_tours(tours, EdgeTable(sc), STEP) == one_at_a_time
+        # a shared table holding some rows from repair, then every exposure
         table = EdgeTable(sc)
         _repair(pool[0].copy(), sc, np.random.default_rng(seed), table)
-        tours = [_tour(ch, sc) for ch in pool]
         assert _score_tours(tours, table, STEP) == one_at_a_time
         assert _score_tours(tours, table, STEP) == one_at_a_time
 
@@ -194,7 +206,7 @@ def test_table_counts_its_traffic_on_the_benchmark_solve():
     params = SolverParams(population_size=100, generations=100, selection="reference-point",
                           seed=5, exposure_step=0.05)
     result = evolve(CROSS_1, params)
-    assert result.curves_solved == 10_211
+    assert result.curves_solved == 6_035
     # 6,035 distinct edges, of which 1,859 were only ever needed for their length
     assert result.curves_integrated == 4_176
 
@@ -244,7 +256,8 @@ def test_each_scoring_pass_integrates_once_in_bounded_runs(monkeypatch):
 def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
     # from Python 3.12 the builtin sum compensates float rounding; fsum stands in for it
     pool = chromosome_pool(CROSS_1, 7, size=30)
-    fits = evaluate_all(pool, CROSS_1, STEP)
+    tours = [_tour(ch, CROSS_1) for ch in pool]
+    fits = _score_tours(tours, EdgeTable(CROSS_1), STEP)
     plan = decode(pool[0], CROSS_1)
     tour = build_tour(list(plan.poses), list(plan.radii))
     tour_exposure = exposure(CROSS_1.field, tour, STEP)
@@ -259,7 +272,7 @@ def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
     intensities = [field_intensity(CROSS_1.field, x) for x in points]
     for module in (evolution, sensing, oracles):
         monkeypatch.setattr(module, "sum", math.fsum, raising=False)
-    assert evaluate_all(pool, CROSS_1, STEP) == fits
+    assert _score_tours(tours, EdgeTable(CROSS_1), STEP) == fits
     assert exposure(CROSS_1.field, tour, STEP) == tour_exposure
     assert [dubins_shortest_reference(*pair) for pair in pairs] == curves
     assert [family_oracle_length(*args) for args in families] == family_lengths

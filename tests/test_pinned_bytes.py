@@ -7,11 +7,12 @@ Refresh them only on purpose, saying why the bytes change.  The solve path
 makes no BLAS call and uses no ufunc whose bits depend on numpy's SIMD
 dispatch, so the same constants are meant to hold on every x86-64 host: a guard
 reruns the configs in child processes under other OpenBLAS kernels and
-dispatch levels.
+dispatch levels, and an AST walk holds the package source to that rule.
 
 Run as a script, this file prints every config's digests as one JSON object.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -28,7 +29,7 @@ import pytest
 import stealthtour
 from stealthtour import evolution
 from stealthtour.cli import main
-from stealthtour.evolution import check_tour, decode, evaluate_all
+from stealthtour.evolution import check_tour, decode, evaluate
 from stealthtour.scenario import generate_instance, scenario_to_dict
 
 try:
@@ -131,8 +132,8 @@ def test_every_evaluated_tour_obeys_the_model(monkeypatch, tmp_path, name):
     def checked(children, table, exposure_step):
         offspring = scored(children, table, exposure_step)
         scenario = table.scenario
-        chromosomes = [m.chromosome for m in offspring]
-        assert [m.fitness for m in offspring] == evaluate_all(chromosomes, scenario, exposure_step)
+        assert [m.fitness for m in offspring] == [
+            evaluate(m.chromosome, scenario, exposure_step) for m in offspring]
         for m in offspring:
             assert m.tour == evolution._tour(m.chromosome, scenario)
             assert check_tour(scenario, decode(m.chromosome, scenario), m.fitness.length) == []
@@ -207,6 +208,36 @@ def test_pinned_bytes_hold_under_other_kernels(env):
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {name: list(pin) for name, pin in PINNED.items()}
+
+
+# numpy calls the solve path avoids: BLAS products, and inverse and tangent
+# functions whose bits can follow the SIMD dispatch
+FORBIDDEN_NUMPY = {"dot", "matmul", "arctan", "arctan2", "tan", "arccos"}
+
+
+def rule_breaches(source: str) -> list[str]:
+    """Where ``source`` breaks the numeric rule: ``@``, a ``.dot(`` call, or
+    ``np.`` with a name in ``FORBIDDEN_NUMPY``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            out.append(f"line {node.lineno}: @")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "np" and node.attr in FORBIDDEN_NUMPY):
+            out.append(f"line {node.lineno}: np.{node.attr}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "dot"):
+            out.append(f"line {node.lineno}: .dot(")
+    return out
+
+
+def test_package_source_keeps_the_numeric_rule():
+    # oracles.py holds the independent references, which stay off the solve path
+    assert len(rule_breaches("a @ b\na @= b\nnp.arctan2(y, x)\nnp.tan(x)\nv.dot(w)\n")) == 5
+    package = Path(stealthtour.__file__).parent
+    breaches = {path.name: rule_breaches(path.read_text()) for path in sorted(package.glob("*.py"))
+                if path.name != "oracles.py"}
+    assert {name: found for name, found in breaches.items() if found} == {}
 
 
 if __name__ == "__main__":
